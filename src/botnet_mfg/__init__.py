@@ -24,6 +24,7 @@ from .hjb import (
     DegenerateDenominator,
     HjbSolution,
     SingularSystem,
+    TooManySolutions,
     enumerate_hjb,
     large_lambda_classify,
     oracle_enumerate,
@@ -66,10 +67,10 @@ __all__ = [
     "DeviationStats", "Domain", "DomainInfo", "EffectiveRates", "Equilibrium",
     "FixedPoint", "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
     "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "Subdomain",
-    "SweepRow", "Trajectory", "alpha_beta", "classify_domain", "compare_ode",
-    "enumerate_hjb", "event_rates", "fixed_point_acyclic", "fixed_point_mixed",
-    "fixed_point_mixed_asymptotic", "integrate", "kappa_of", "kappa_thresholds",
-    "kinetic_jacobian", "kinetic_rhs", "large_lambda_classify",
-    "oracle_enumerate", "simulate", "simulate_myopic", "solve_case",
-    "solve_mfg", "stability", "sweep_kappa",
+    "SweepRow", "TooManySolutions", "Trajectory", "alpha_beta",
+    "classify_domain", "compare_ode", "enumerate_hjb", "event_rates",
+    "fixed_point_acyclic", "fixed_point_mixed", "fixed_point_mixed_asymptotic",
+    "integrate", "kappa_of", "kappa_thresholds", "kinetic_jacobian",
+    "kinetic_rhs", "large_lambda_classify", "oracle_enumerate", "simulate",
+    "simulate_myopic", "solve_case", "solve_mfg", "stability", "sweep_kappa",
 ]

@@ -99,7 +99,8 @@ def load_params(args: argparse.Namespace) -> ModelParams:
     values: dict[str, float] = {}
     if args.config:
         try:
-            text = open(args.config, "r", encoding="utf-8").read()
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise CliError("config_io_error", str(exc), exit_code=2) from exc
         try:

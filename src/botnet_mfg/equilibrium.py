@@ -95,23 +95,28 @@ def _case_fixed_points(params: ModelParams, case: StrategyCase) -> list[fp_mod.F
     return fp_mod.fixed_point_mixed(params, case)
 
 
-def solve_mfg(params: ModelParams) -> list[Equilibrium]:
-    """All stationary equilibria, sorted by average cost.
+def _stationary_points(params: ModelParams) -> list[tuple[StrategyCase, fp_mod.FixedPoint]]:
+    """(case, point) for every stationary point; k_D and k_I do not enter
+    the kinetic dynamics, so these are the same for every kappa."""
+    return [(case, fp) for case in StrategyCase for fp in _case_fixed_points(params, case)]
 
-    For each case, every stationary point of the dynamics is paired with
-    the case's Bellman solution at that point; the pair survives when the
-    solution is valid there.  An empty list is a legal outcome inside a
-    bifurcation gap.
+
+def _rank_equilibria(params: ModelParams,
+                     points: list[tuple[StrategyCase, fp_mod.FixedPoint]]) -> list[Equilibrium]:
+    """Equilibria at the kappa of ``params``, sorted by average cost.
+
+    Each stationary point is paired with its case's Bellman solution at
+    that point; the pair survives when the solution is valid there.  An
+    empty list is a legal outcome inside a bifurcation gap.
     """
     found: list[tuple[StateDist, StrategyCase, hjb_mod.HjbSolution, fp_mod.FixedPoint]] = []
-    for case in StrategyCase:
-        for fp in _case_fixed_points(params, case):
-            try:
-                sol = hjb_mod.solve_case(params, fp.x, case)
-            except hjb_mod.DegenerateDenominator:
-                continue
-            if sol.valid and min(sol.slack1, sol.slack2) >= CONSISTENCY_SLACK:
-                found.append((fp.x, case, sol, fp))
+    for case, fp in points:
+        try:
+            sol = hjb_mod.solve_case(params, fp.x, case)
+        except hjb_mod.DegenerateDenominator:
+            continue
+        if sol.valid and min(sol.slack1, sol.slack2) >= CONSISTENCY_SLACK:
+            found.append((fp.x, case, sol, fp))
 
     if not found:
         return []
@@ -124,6 +129,11 @@ def solve_mfg(params: ModelParams) -> list[Equilibrium]:
     ]
     out.sort(key=lambda e: (e.mu, e.case.label))
     return out
+
+
+def solve_mfg(params: ModelParams) -> list[Equilibrium]:
+    """All stationary equilibria, sorted by average cost."""
+    return _rank_equilibria(params, _stationary_points(params))
 
 
 def kappa_of(params: ModelParams, z: float) -> float:
@@ -267,6 +277,8 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
                 steps: int) -> list[SweepRow]:
     """Equilibrium structure along a kappa grid, k_I held fixed.
 
+    The stationary points do not depend on kappa, so they are solved once
+    per sweep; each grid point only re-solves the Bellman system at them.
     Rows whose kappa lies within 10/lam of any computed threshold are
     tagged near_bifurcation; the large-lam case classification is only
     trustworthy outside such windows.
@@ -277,10 +289,11 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
         raise ValueError("steps must be >= 2")
     thresholds = kappa_thresholds(params).thresholds()
     window = NEAR_BIFURCATION_FACTOR / params.lam
+    points = _stationary_points(params)
     rows = []
     for kappa in np.linspace(kappa_min, kappa_max, steps):
         kappa = float(kappa)
-        eqs = solve_mfg(params.with_kappa(kappa))
+        eqs = _rank_equilibria(params.with_kappa(kappa), points)
         near = any(abs(kappa - t) <= window for t in thresholds)
         rows.append(SweepRow(
             kappa=kappa,

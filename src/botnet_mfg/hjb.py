@@ -65,6 +65,10 @@ class SingularSystem(np.linalg.LinAlgError):
     """The fixed-control linear system is rank-deficient."""
 
 
+class TooManySolutions(ArithmeticError):
+    """More than two distinct case solutions were valid at one state."""
+
+
 @dataclass(frozen=True)
 class HjbSolution:
     """One candidate solution of the optimality system.
@@ -247,7 +251,8 @@ def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     Distinct solutions never exceed two; in fact the validity bands in
     kappa partition the half-line, so off case boundaries exactly one
     case is valid (boundary hits return the coinciding solutions from the
-    adjacent cases, flagged degenerate).
+    adjacent cases, flagged degenerate).  More than two raises
+    TooManySolutions.
     """
     solutions = []
     for case in StrategyCase:
@@ -258,11 +263,13 @@ def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         if sol.valid:
             solutions.append(sol)
     solutions.sort(key=lambda s: (s.mu, s.case.label))
-    assert _distinct_count(solutions) <= 2, "more than two distinct solutions"
+    if (n_distinct := len(_distinct(solutions))) > 2:
+        raise TooManySolutions(f"{n_distinct} distinct valid solutions at {x}")
     return solutions
 
 
-def _distinct_count(solutions: list[HjbSolution], tol: float = 1e-9) -> int:
+def _distinct(solutions: list[HjbSolution], tol: float = 1e-9) -> list[HjbSolution]:
+    """Solutions in order, dropping any equal within tol (mu and g) to an earlier one."""
     distinct: list[HjbSolution] = []
     for sol in solutions:
         if not any(
@@ -271,7 +278,7 @@ def _distinct_count(solutions: list[HjbSolution], tol: float = 1e-9) -> int:
             for other in distinct
         ):
             distinct.append(sol)
-    return len(distinct)
+    return distinct
 
 
 ALL_CONTROLS = [ControlVector(*bits) for bits in itertools.product((0, 1), repeat=4)]
@@ -367,15 +374,7 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
             control=u,
         ))
 
-    deduped: list[HjbSolution] = []
-    for sol in sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")):
-        if not any(
-            abs(sol.mu - other.mu) <= 1e-9
-            and np.max(np.abs(sol.g_array() - other.g_array())) <= 1e-9
-            for other in deduped
-        ):
-            deduped.append(sol)
-    return deduped
+    return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")))
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,15 @@ class CheckResult:
 def random_params(rng: np.random.Generator, lam: float | None = None,
                   lo: float = 0.1, hi: float = 5.0,
                   equal_recovery: bool = False) -> ModelParams:
-    """A parameter draw respecting the natural sign structure."""
-    q_a, q_b = sorted(rng.uniform(lo, hi, size=2))
+    """A parameter draw respecting the natural sign structure, in Python floats."""
+    q_a, q_b = sorted(rng.uniform(lo, hi, size=2).tolist())
     if equal_recovery:
         q_a = q_b
-    inf_a, inf_b = sorted(rng.uniform(lo, hi, size=2))
+    inf_a, inf_b = sorted(rng.uniform(lo, hi, size=2).tolist())
     if inf_a == inf_b:
         inf_b = inf_a + lo
-    b_ud, b_uu = sorted(rng.uniform(lo, hi, size=2))
-    b_dd, b_du = sorted(rng.uniform(lo, hi, size=2))
+    b_ud, b_uu = sorted(rng.uniform(lo, hi, size=2).tolist())
+    b_dd, b_du = sorted(rng.uniform(lo, hi, size=2).tolist())
     return ModelParams(
         q_rec_D=q_b, q_rec_U=q_a,
         q_inf_D=inf_a, q_inf_U=inf_b,

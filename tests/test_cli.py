@@ -90,6 +90,11 @@ class TestConfigErrors:
         code, _, err = run(capsys, "equilibria", "--config", str(path))
         assert code == 2
 
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "equilibria", "--config", str(tmp_path / "absent.cfg"))
+        assert code == 2
+        assert json.loads(err)["error"] == "config_io_error"
+
     def test_invalid_value_exit_1(self, config_path, capsys):
         code, _, err = run(capsys, "equilibria", "--config", config_path,
                            "--set", "lambda=0")

@@ -12,6 +12,7 @@ from botnet_mfg import (
     solve_mfg,
     sweep_kappa,
 )
+from botnet_mfg import fixedpoint
 from botnet_mfg.equilibrium import (
     SWEEP_CSV_HEADER,
     kappa_increasing,
@@ -199,6 +200,45 @@ class TestSweep:
         edges = _edges(rows)
         assert min(abs(e - report.kappa_star) for e in edges) <= window
         assert min(abs(e - report.kappa_bar_star) for e in edges) <= window
+
+    @staticmethod
+    def _sweep_params(rng):
+        draws = [random_params(rng, lam=lam, hi=2.0, equal_recovery=bool(i % 2))
+                 for i, lam in enumerate((1.0, 1.0, 10.0, 10.0, 1000.0, 2000.0))]
+        return [regime_one_params(), regime_two_params()] + draws
+
+    def test_rows_equal_solve_mfg_at_every_grid_point(self, rng):
+        for params in self._sweep_params(rng):
+            rows = sweep_kappa(params, 0.0, 1.0, 41)
+            expected = []
+            for kappa in np.linspace(0.0, 1.0, 41):
+                eqs = solve_mfg(params.with_kappa(float(kappa)))
+                expected.append((float(kappa), len(eqs), tuple(e.case.label for e in eqs),
+                                 tuple(e.mu for e in eqs), tuple(e.stable for e in eqs)))
+            assert [(r.kappa, r.count, r.cases, r.mu_values, r.stable)
+                    for r in rows] == expected
+
+    def test_fixed_points_solved_once_per_sweep(self, rng, monkeypatch):
+        calls = {"mixed": 0, "acyclic": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fixedpoint, "fixed_point_mixed",
+                            counting("mixed", fixedpoint.fixed_point_mixed))
+        monkeypatch.setattr(fixedpoint, "fixed_point_acyclic",
+                            counting("acyclic", fixedpoint.fixed_point_acyclic))
+        for params in self._sweep_params(rng):
+            counts = []
+            for steps in (2, 50):
+                calls.update(mixed=0, acyclic=0)
+                sweep_kappa(params, 0.0, 1.0, steps)
+                counts.append(dict(calls))
+            assert counts[0] == counts[1]
+            assert counts[0]["mixed"] >= 2 and counts[0]["acyclic"] >= 2
 
     def test_csv_header_and_shape(self):
         params = regime_one_params(lam=500.0)

@@ -15,7 +15,9 @@ from botnet_mfg import (
     oracle_enumerate,
     solve_case,
 )
+from botnet_mfg import hjb
 from botnet_mfg.hjb import (
+    TooManySolutions,
     bellman_residual,
     case_thresholds,
     control_attains_min,
@@ -191,6 +193,18 @@ class TestEnumerate:
             th = case_thresholds(params, x)
             assert th["A"] / th["P"] <= th["B"] / th["Q"] + 1e-12
             assert th["B"] / th["P"] >= th["A"] / th["Q"] - 1e-12
+
+    def test_three_distinct_solutions_raise(self, base_params, interior_state, monkeypatch):
+        # the invariant is an explicit check, so it also holds under python -O
+        real = hjb.solve_case
+
+        def three_valid(params, x, case):
+            index = list(StrategyCase).index(case)
+            return replace(real(params, x, case), valid=index < 3, mu=float(index))
+
+        monkeypatch.setattr(hjb, "solve_case", three_valid)
+        with pytest.raises(TooManySolutions):
+            enumerate_hjb(base_params, interior_state)
 
 
 class TestOracle:

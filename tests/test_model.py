@@ -53,6 +53,12 @@ class TestParams:
         assert "lambda = 10.0" in text
         assert ModelParams.from_config_text(text) == base_params
 
+    def test_random_draw_config_roundtrip(self, rng):
+        for equal_recovery in (False, True):
+            params = random_params(rng, equal_recovery=equal_recovery)
+            assert "np." not in params.to_config_text()
+            assert ModelParams.from_config_text(params.to_config_text()) == params
+
     def test_config_rejects_unknown_and_missing_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelParams.from_config_text("bogus = 1\n")
