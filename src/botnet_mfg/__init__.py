@@ -54,7 +54,6 @@ from .agentsim import (
     SimConfig,
     Trajectory,
     compare_ode,
-    event_rates,
     simulate,
     simulate_myopic,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "FixedPoint", "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
     "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "Subdomain",
     "SweepRow", "TooManySolutions", "Trajectory", "alpha_beta",
-    "classify_domain", "compare_ode", "enumerate_hjb", "event_rates",
+    "classify_domain", "compare_ode", "enumerate_hjb",
     "fixed_point_acyclic", "fixed_point_mixed", "fixed_point_mixed_asymptotic",
     "integrate", "kappa_of", "kappa_thresholds", "kinetic_jacobian",
     "kinetic_rhs", "large_lambda_classify", "oracle_enumerate", "simulate",

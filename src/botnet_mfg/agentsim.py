@@ -1,22 +1,24 @@
 """Exact event-driven simulation of the N-agent Markov dynamics.
 
-The population jumps one agent at a time through twelve event channels;
+The population jumps one agent at a time through ten event channels;
 interaction rates carry the 1/N mean-field scaling, so event rates divided
 by N reproduce the kinetic right-hand side exactly at x = n/N:
 
     idx  move       rate
-    0    DS -> DI   n_DS * q_inf_D * v_H        direct infection, defended
-    1    US -> UI   n_US * q_inf_U * v_H        direct infection, unprotected
-    2    DI -> DS   n_DI * q_rec_D              recovery, defended
-    3    UI -> US   n_UI * q_rec_U              recovery, unprotected
-    4    DS -> DI   n_DI * n_DS * beta_DD / N   contact DI onto DS
-    5    US -> UI   n_DI * n_US * beta_DU / N   contact DI onto US
-    6    DS -> DI   n_UI * n_DS * beta_UD / N   contact UI onto DS
-    7    US -> UI   n_UI * n_US * beta_UU / N   contact UI onto US
-    8    DS -> US   lam * n_DS * u_DS           switching
-    9    US -> DS   lam * n_US * u_US
-    10   DI -> UI   lam * n_DI * u_DI
-    11   UI -> DI   lam * n_UI * u_UI
+    0    DS -> DI   n_DS * q_inf_D * v_H                       direct infection
+    1    US -> UI   n_US * q_inf_U * v_H
+    2    DI -> DS   n_DI * q_rec_D                             recovery
+    3    UI -> US   n_UI * q_rec_U
+    4    DS -> DI   n_DS * (n_DI*beta_DD + n_UI*beta_UD) / N   contact
+    5    US -> UI   n_US * (n_DI*beta_DU + n_UI*beta_UU) / N
+    6    DS -> US   lam * n_DS * u_DS                          switching
+    7    US -> DS   lam * n_US * u_US
+    8    DI -> UI   lam * n_DI * u_DI
+    9    UI -> DI   lam * n_UI * u_UI
+
+``rate_table`` is the only place these formulas live: the simulator draws
+its jumps from it and ``generator_drift`` checks it against the kinetic
+right-hand side.
 
 Waiting times are exponential with the total rate; the jump channel is
 drawn proportionally to the rates (the classical direct stochastic
@@ -28,7 +30,8 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,9 +45,8 @@ from .model import (
 
 # channel -> (source index, destination index) in state order (DI, DS, UI, US)
 EVENT_MOVES: tuple[tuple[int, int], ...] = (
-    (1, 0), (3, 2), (0, 1), (2, 3),
-    (1, 0), (3, 2), (1, 0), (3, 2),
-    (1, 3), (3, 1), (0, 2), (2, 0),
+    (1, 0), (3, 2), (0, 1), (2, 3), (1, 0),
+    (3, 2), (1, 3), (3, 1), (0, 2), (2, 0),
 )
 
 MYOPIC = "myopic"
@@ -145,25 +147,29 @@ class Trajectory:
         return StateDist.from_sequence(self.states[i])
 
 
-def event_rates(params: ModelParams, counts: AgentCounts, u: ControlVector) -> np.ndarray:
-    """The twelve channel rates at the given head-counts."""
-    n_DI, n_DS, n_UI, n_US = counts.as_tuple()
-    n = counts.total
-    lam, v_H = params.lam, params.v_H
-    return np.array([
-        n_DS * params.q_inf_D * v_H,
-        n_US * params.q_inf_U * v_H,
-        n_DI * params.q_rec_D,
-        n_UI * params.q_rec_U,
-        n_DI * n_DS * params.beta_DD / n,
-        n_DI * n_US * params.beta_DU / n,
-        n_UI * n_DS * params.beta_UD / n,
-        n_UI * n_US * params.beta_UU / n,
-        lam * n_DS * u.u_DS,
-        lam * n_US * u.u_US,
-        lam * n_DI * u.u_DI,
-        lam * n_UI * u.u_UI,
-    ])
+def rate_table(params: ModelParams, n_agents: int,
+               u: ControlVector) -> Callable[..., tuple[tuple[float, ...], float]]:
+    """The ten channel rates of an n_agents population under control u.
+
+    Returns a function of the head-counts (n_DI, n_DS, n_UI, n_US) that
+    yields the rates in channel order and their total.  The total is a
+    left-to-right sum, the same float as accumulating from 0.0.
+    """
+    dir_D = params.q_inf_D * params.v_H
+    dir_U = params.q_inf_U * params.v_H
+    q_D, q_U = params.q_rec_D, params.q_rec_U
+    b_DD, b_DU = params.beta_DD / n_agents, params.beta_DU / n_agents
+    b_UD, b_UU = params.beta_UD / n_agents, params.beta_UU / n_agents
+    lam = params.lam
+    s_DS, s_US, s_DI, s_UI = lam * u.u_DS, lam * u.u_US, lam * u.u_DI, lam * u.u_UI
+
+    def rates(c_DI, c_DS, c_UI, c_US):
+        r = (c_DS * dir_D, c_US * dir_U, c_DI * q_D, c_UI * q_U,
+             c_DS * (c_DI * b_DD + c_UI * b_UD), c_US * (c_DI * b_DU + c_UI * b_UU),
+             c_DS * s_DS, c_US * s_US, c_DI * s_DI, c_UI * s_UI)
+        return r, r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7] + r[8] + r[9]
+
+    return rates
 
 
 def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) -> np.ndarray:
@@ -171,8 +177,8 @@ def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) 
 
     Algebraically identical to kinetic_rhs at x = n/N.
     """
-    rates = event_rates(params, counts, u)
     n = counts.total
+    rates, _ = rate_table(params, n, u)(*counts.as_tuple())
     drift = np.zeros(4)
     for rate, (src, dst) in zip(rates, EVENT_MOVES):
         drift[src] -= rate
@@ -205,30 +211,17 @@ def _resolve_control(params: ModelParams, x: StateDist,
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    n_DI, n_DS, n_UI, n_US = cfg.initial_counts().as_tuple()
+    counts4 = list(cfg.initial_counts().as_tuple())
     n = cfg.n_agents
 
     notes: list[str] = []
     switches: list[SwitchEvent] = []
     if myopic:
         control, _ = _resolve_control(
-            params, _dist_of([n_DI, n_DS, n_UI, n_US], n),
-            ControlVector(0, 0, 0, 0), notes, 0.0)
+            params, _dist_of(counts4, n), ControlVector(0, 0, 0, 0), notes, 0.0)
     else:
         control = cfg.policy  # type: ignore[assignment]
-
-    # per-event constants of the rate table
-    dir_D = params.q_inf_D * params.v_H
-    dir_U = params.q_inf_U * params.v_H
-    q_D, q_U = params.q_rec_D, params.q_rec_U
-    b_DD, b_DU = params.beta_DD / n, params.beta_DU / n
-    b_UD, b_UU = params.beta_UD / n, params.beta_UU / n
-    lam = params.lam
-
-    def switch_rates(u: ControlVector) -> tuple[float, float, float, float]:
-        return (lam * u.u_DS, lam * u.u_US, lam * u.u_DI, lam * u.u_UI)
-
-    s_DS, s_US, s_DI, s_UI = switch_rates(control)
+    table = rate_table(params, n, control)
 
     n_samples = math.floor(cfg.horizon / cfg.sample_interval + 1e-9)
     sample_times = [i * cfg.sample_interval for i in range(n_samples + 1)]
@@ -239,35 +232,15 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     t = 0.0
     next_sample = 0
     per_event = myopic and cfg.myopic_recompute == "event"
+    per_sample = myopic and not per_event
     exponential = rng.exponential
     random = rng.random
 
     # sampling instants interrupt the exponential clock; redrawing the
     # waiting time afterwards is exact because the clock is memoryless
-    # identical-move contact channels are bundled; zero-rate channels add
-    # exactly nothing to the cumulative sum, so the walk matches `total`
-    bundled_moves = ((1, 0), (3, 2), (0, 1), (2, 3),
-                     (1, 0), (3, 2), (1, 3), (3, 1), (0, 2), (2, 0))
-    counts4 = [n_DI, n_DS, n_UI, n_US]
-    del n_DI, n_DS, n_UI, n_US
-
     while next_sample <= n_samples:
         c_DI, c_DS, c_UI, c_US = counts4
-        rates10 = (
-            c_DS * dir_D,
-            c_US * dir_U,
-            c_DI * q_D,
-            c_UI * q_U,
-            c_DS * (c_DI * b_DD + c_UI * b_UD),
-            c_US * (c_DI * b_DU + c_UI * b_UU),
-            c_DS * s_DS,
-            c_US * s_US,
-            c_DI * s_DI,
-            c_UI * s_UI,
-        )
-        total = 0.0
-        for r in rates10:
-            total += r
+        rates, total = table(c_DI, c_DS, c_UI, c_US)
         t_event = t + exponential(1.0 / total) if total > 0.0 else math.inf
 
         ts = sample_times[next_sample]
@@ -277,43 +250,38 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             states.append((c_DI / n, c_DS / n, c_UI / n, c_US / n))
             cases.append(_case_label(control))
             next_sample += 1
-            if myopic and not per_event:
-                new_control, mu = _resolve_control(
-                    params, _dist_of(counts4, n), control, notes, ts)
-                if new_control != control and mu is not None:
-                    switches.append(SwitchEvent(ts, _case_label(control),
-                                                _case_label(new_control), mu))
-                    control = new_control
-                    s_DS, s_US, s_DI, s_UI = switch_rates(control)
-            continue
+            recompute = per_sample
+        else:
+            # execute the jump at t_event; zero-rate channels add exactly
+            # nothing to the cumulative sum, so the walk matches `total`
+            t = t_event
+            draw = random() * total
+            acc = 0.0
+            chosen = -1
+            last_positive = -1
+            for k in range(10):
+                r = rates[k]
+                if r > 0.0:
+                    last_positive = k
+                    acc += r
+                    if draw < acc:
+                        chosen = k
+                        break
+            if chosen < 0:
+                chosen = last_positive  # draw rounded up to the total
+            src, dst = EVENT_MOVES[chosen]
+            counts4[src] -= 1
+            counts4[dst] += 1
+            recompute = per_event
 
-        # execute the jump at t_event
-        t = t_event
-        draw = random() * total
-        acc = 0.0
-        chosen = -1
-        last_positive = -1
-        for k in range(10):
-            r = rates10[k]
-            if r > 0.0:
-                last_positive = k
-                acc += r
-                if draw < acc:
-                    chosen = k
-                    break
-        if chosen < 0:
-            chosen = last_positive  # draw rounded up to the total
-        src, dst = bundled_moves[chosen]
-        counts4[src] -= 1
-        counts4[dst] += 1
-        if per_event:
+        if recompute:
             new_control, mu = _resolve_control(
                 params, _dist_of(counts4, n), control, notes, t)
             if new_control != control and mu is not None:
                 switches.append(SwitchEvent(t, _case_label(control),
                                             _case_label(new_control), mu))
                 control = new_control
-                s_DS, s_US, s_DI, s_UI = switch_rates(control)
+                table = rate_table(params, n, control)
 
     return Trajectory(
         times=np.array(times),
@@ -409,12 +377,5 @@ def _sup_deviation(params: ModelParams, traj: Trajectory, u: ControlVector,
 def replica_trajectories(params: ModelParams, cfg: SimConfig,
                          replicas: int) -> list[Trajectory]:
     """Independent runs with per-replica streams seed + 0, 1, ..."""
-    out = []
-    for i in range(replicas):
-        cfg_i = SimConfig(
-            n_agents=cfg.n_agents, horizon=cfg.horizon, seed=cfg.seed + i,
-            policy=cfg.policy, sample_interval=cfg.sample_interval,
-            initial=cfg.initial, myopic_recompute=cfg.myopic_recompute)
-        run = simulate if isinstance(cfg.policy, ControlVector) else simulate_myopic
-        out.append(run(params, cfg_i))
-    return out
+    run = simulate if isinstance(cfg.policy, ControlVector) else simulate_myopic
+    return [run(params, replace(cfg, seed=cfg.seed + i)) for i in range(replicas)]

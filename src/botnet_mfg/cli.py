@@ -183,13 +183,7 @@ def cmd_hjb(args: argparse.Namespace) -> int:
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
     params = load_params(args)
-    points = [
-        fixedpoint.fixed_point_acyclic(params, StrategyCase.PREFER_UNPROTECTED),
-        fixedpoint.fixed_point_acyclic(params, StrategyCase.PREFER_DEFENDED),
-    ]
-    points += fixedpoint.fixed_point_mixed(params, StrategyCase.DEFEND_SUSCEPTIBLE)
-    points += fixedpoint.fixed_point_mixed(params, StrategyCase.DEFEND_INFECTED)
-    records = [fp.to_record() for fp in points]
+    records = [fp.to_record() for _, fp in equilibrium.stationary_points(params)]
     if args.format == "json":
         emit(args, json.dumps(records, indent=2) + "\n")
     else:
@@ -231,7 +225,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         emit(args, json.dumps([r.to_record() for r in rows], indent=2) + "\n")
     else:
-        emit(args, equilibrium.sweep_to_csv(rows))
+        emit(args, records_to_csv(equilibrium.SWEEP_CSV_FIELDS,
+                                  [r.to_csv_record() for r in rows]))
     return 0
 
 

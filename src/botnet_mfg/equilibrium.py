@@ -12,8 +12,6 @@ and produces kappa-sweep tables for phase diagrams.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +93,7 @@ def _case_fixed_points(params: ModelParams, case: StrategyCase) -> list[fp_mod.F
     return fp_mod.fixed_point_mixed(params, case)
 
 
-def _stationary_points(params: ModelParams) -> list[tuple[StrategyCase, fp_mod.FixedPoint]]:
+def stationary_points(params: ModelParams) -> list[tuple[StrategyCase, fp_mod.FixedPoint]]:
     """(case, point) for every stationary point; k_D and k_I do not enter
     the kinetic dynamics, so these are the same for every kappa."""
     return [(case, fp) for case in StrategyCase for fp in _case_fixed_points(params, case)]
@@ -133,7 +131,7 @@ def _rank_equilibria(params: ModelParams,
 
 def solve_mfg(params: ModelParams) -> list[Equilibrium]:
     """All stationary equilibria, sorted by average cost."""
-    return _rank_equilibria(params, _stationary_points(params))
+    return _rank_equilibria(params, stationary_points(params))
 
 
 def kappa_of(params: ModelParams, z: float) -> float:
@@ -269,8 +267,22 @@ class SweepRow:
             "near_bifurcation": self.near_bifurcation,
         }
 
+    def to_csv_record(self) -> dict:
+        """One flat CSV row; the tuple columns are joined with + and ;."""
+        return {
+            "kappa": self.kappa,
+            "count": self.count,
+            "cases": "+".join(self.cases),
+            "mu_min": min(self.mu_values) if self.mu_values else None,
+            "mu_all": ";".join(repr(m) for m in self.mu_values),
+            "stable_all": ";".join("true" if s else "false" for s in self.stable),
+            "near_bifurcation": self.near_bifurcation,
+        }
 
-SWEEP_CSV_HEADER = "kappa,count,cases,mu_min,mu_all,stable_all,near_bifurcation"
+
+SWEEP_CSV_FIELDS = (
+    "kappa", "count", "cases", "mu_min", "mu_all", "stable_all", "near_bifurcation",
+)
 
 
 def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
@@ -289,7 +301,7 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
         raise ValueError("steps must be >= 2")
     thresholds = kappa_thresholds(params).thresholds()
     window = NEAR_BIFURCATION_FACTOR / params.lam
-    points = _stationary_points(params)
+    points = stationary_points(params)
     rows = []
     for kappa in np.linspace(kappa_min, kappa_max, steps):
         kappa = float(kappa)
@@ -304,21 +316,3 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
             near_bifurcation=near,
         ))
     return rows
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
-    for row in rows:
-        mu_min = repr(min(row.mu_values)) if row.mu_values else ""
-        writer.writerow([
-            repr(row.kappa),
-            str(row.count),
-            "+".join(row.cases),
-            mu_min,
-            ";".join(repr(m) for m in row.mu_values),
-            ";".join("true" if s else "false" for s in row.stable),
-            "true" if row.near_bifurcation else "false",
-        ])
-    return buf.getvalue()

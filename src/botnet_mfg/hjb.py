@@ -92,10 +92,6 @@ class HjbSolution:
     slack2: float
     control: ControlVector
 
-    @property
-    def g(self) -> dict[str, float]:
-        return {"DI": self.g_DI, "DS": self.g_DS, "UI": self.g_UI, "US": self.g_US}
-
     def g_array(self) -> np.ndarray:
         return np.array([self.g_DI, self.g_DS, self.g_UI, self.g_US])
 

@@ -31,8 +31,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-STATE_NAMES = ("DI", "DS", "UI", "US")
-
 # |sum(x) - 1| accepted on input before renormalizing; root-finders and
 # integrators produce drift at this scale.
 SIMPLEX_INPUT_TOL = 1e-9
@@ -208,11 +206,6 @@ class ModelParams:
             raise ValueError(f"missing parameters: {', '.join(missing)}")
         return cls(**{_FIELD_BY_KEY[key]: values[key] for key in CONFIG_KEYS})
 
-    @classmethod
-    def from_config_file(cls, path: str) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_config_text(fh.read())
-
 
 # exact external key set; "lambda" is a keyword, hence the lam field
 CONFIG_KEYS = (
@@ -263,14 +256,6 @@ class StateDist:
         if len(vals) != 4:
             raise InvalidSimplex(f"expected 4 components, got {len(vals)}")
         return cls(*(float(v) for v in vals))
-
-    @property
-    def infected_fraction(self) -> float:
-        return self.x_DI + self.x_UI
-
-    @property
-    def defended_fraction(self) -> float:
-        return self.x_DI + self.x_DS
 
 
 @dataclass(frozen=True)

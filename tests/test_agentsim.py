@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ from botnet_mfg import (
     StateDist,
     StrategyCase,
     compare_ode,
-    event_rates,
     kappa_thresholds,
     kinetic_rhs,
     simulate,
@@ -21,6 +21,7 @@ from botnet_mfg import (
 from botnet_mfg.agentsim import (
     EVENT_MOVES,
     generator_drift,
+    rate_table,
     replica_trajectories,
 )
 from botnet_mfg.validation import random_control, random_params
@@ -62,26 +63,33 @@ class TestEventRates:
     def test_absorbing_state_has_zero_rates(self):
         params = sim_params()
         params = replace(params, v_H=0.0)
-        rates = event_rates(params, AgentCounts(0, 0, 0, 100), U_I)
-        assert np.array_equal(rates, np.zeros(12))
+        rates, total = rate_table(params, 100, U_I)(0, 0, 0, 100)
+        assert rates == (0.0,) * 10
+        assert total == 0.0
 
     def test_single_contact_pair(self):
         params = ModelParams(
             q_rec_D=0.0, q_rec_U=0.0, q_inf_D=0.0, q_inf_U=0.0,
             beta_UU=1.0, beta_UD=0.0, beta_DU=0.0, beta_DD=0.0,
             lam=1.0, v_H=0.0, k_D=0.5, k_I=1.0)
-        rates = event_rates(params, AgentCounts(0, 0, 1, 1), U_OFF)
+        rates, total = rate_table(params, 2, U_OFF)(0, 0, 1, 1)
         nonzero = np.nonzero(rates)[0]
-        assert list(nonzero) == [7]
-        assert rates[7] == pytest.approx(0.5)
-        assert EVENT_MOVES[7] == (3, 2)
+        assert list(nonzero) == [5]
+        assert rates[5] == pytest.approx(0.5)
+        assert total == rates[5]
+        assert EVENT_MOVES[5] == (3, 2)
 
     def test_rates_nonnegative(self, rng):
         for _ in range(500):
             params = random_params(rng)
-            counts = AgentCounts(*(int(v) for v in rng.integers(0, 100, size=4) + 1))
-            rates = event_rates(params, counts, random_control(rng))
-            assert np.all(rates >= 0.0)
+            counts = [int(v) for v in rng.integers(0, 100, size=4) + 1]
+            rates, total = rate_table(params, sum(counts), random_control(rng))(*counts)
+            assert len(rates) == len(EVENT_MOVES) == 10
+            assert all(r >= 0.0 for r in rates)
+            acc = 0.0
+            for r in rates:
+                acc += r
+            assert total == acc
 
     def test_generator_identity(self, rng):
         for _ in range(2000):
@@ -227,3 +235,46 @@ class TestMyopic:
         traj = simulate_myopic(params, cfg)
         assert traj.cases is not None
         assert len(traj.cases) == len(traj.times)
+
+
+def _simulate_csv(traj):
+    """The bytes of `botnet-mfg simulate` CSV for one replica, followed by
+    the `--switch-log` CSV."""
+    myopic = traj.cases is not None
+    lines = ["t,x_DI,x_DS,x_UI,x_US" + (",case" if myopic else "")]
+    for k in range(len(traj.times)):
+        row = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.states[k]]
+        lines.append(",".join(row + ([traj.cases[k]] if myopic else [])))
+    lines.append("t,old_case,new_case,mu")
+    lines += [f"{s.t!r},{s.old_case},{s.new_case},{s.mu!r}" for s in traj.switches]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# README rates at lambda = 20, kappa = 0.6: no equilibrium, so the myopic
+# control keeps switching
+GAP_PARAMS = ModelParams(
+    q_rec_D=1.0, q_rec_U=1.0, q_inf_D=0.5, q_inf_U=1.0,
+    beta_UU=4.0, beta_UD=0.5, beta_DU=4.0, beta_DD=0.5,
+    lam=20.0, v_H=1.0, k_D=0.6, k_I=1.0)
+
+
+class TestGolden:
+    """Byte-pinned SSA output at small N and fixed seeds."""
+
+    @pytest.mark.parametrize("policy, recompute, n, switches, digest", [
+        (U_I, "interval", 300, 0,
+         "e23c3808ce70568d9ff89a8c61a2917ec996486adf42e55e77b60e89f4e6be81"),
+        ("myopic", "interval", 200, 13,
+         "5dafd00773f541c5a49cec5429246c0cf3427eea0187c8a819c90ee78424b86f"),
+        ("myopic", "event", 200, 70,
+         "11475e283716d00daf20ad69060af1181e897f807faacccf5f376d95285ec8b8"),
+    ])
+    def test_simulate_csv_sha256(self, policy, recompute, n, switches, digest):
+        params = sim_params() if policy == U_I else GAP_PARAMS
+        cfg = SimConfig(n_agents=n, horizon=4.0, seed=2024, policy=policy,
+                        sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2),
+                        myopic_recompute=recompute)
+        run = simulate if policy == U_I else simulate_myopic
+        traj = run(params, cfg)
+        assert len(traj.switches) == switches
+        assert hashlib.sha256(_simulate_csv(traj)).hexdigest() == digest

@@ -13,10 +13,10 @@ from botnet_mfg import (
     sweep_kappa,
 )
 from botnet_mfg import fixedpoint
+from botnet_mfg.cli import records_to_csv
 from botnet_mfg.equilibrium import (
-    SWEEP_CSV_HEADER,
+    SWEEP_CSV_FIELDS,
     kappa_increasing,
-    sweep_to_csv,
 )
 from botnet_mfg.validation import random_params
 
@@ -243,9 +243,9 @@ class TestSweep:
     def test_csv_header_and_shape(self):
         params = regime_one_params(lam=500.0)
         rows = sweep_kappa(params, 0.4, 0.7, 12)
-        text = sweep_to_csv(rows)
+        text = records_to_csv(SWEEP_CSV_FIELDS, [r.to_csv_record() for r in rows])
         lines = text.strip().split("\n")
-        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[0] == "kappa,count,cases,mu_min,mu_all,stable_all,near_bifurcation"
         assert len(lines) == 13
         empty_ok = all(len(line.split(",")) == 7 for line in lines[1:])
         assert empty_ok
