@@ -11,7 +11,8 @@
 
 Parameters come from a flat key=value config file (see ModelParams), with
 --set KEY=VALUE overrides.  Output is CSV (default) or JSON, to stdout or
---out.  Exit codes: 0 success, 1 validation failure, 2 config parse error.
+--out.  Exit codes: 0 success, 1 validation failure or unwritable output,
+2 config parse error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .model import (
     StateDist,
     StrategyCase,
 )
+
+
+STATE_FIELDS = ("x_DI", "x_DS", "x_UI", "x_US")
 
 
 class CliError(Exception):
@@ -100,12 +104,10 @@ def load_params(args: argparse.Namespace) -> ModelParams:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                params = ModelParams.from_config_text(fh.read())
         except OSError as exc:
             raise CliError("config_io_error", str(exc), exit_code=2) from exc
-        try:
-            params = ModelParams.from_config_text(text)
-        except ValueError as exc:
+        except ValueError as exc:  # includes UnicodeDecodeError
             raise CliError("config_parse_error", str(exc), exit_code=2) from exc
         values = {key: getattr(params, _FIELD_BY_KEY[key]) for key in CONFIG_KEYS}
     for item in args.set:
@@ -161,12 +163,16 @@ def records_to_csv(fields: tuple[str, ...], records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+def emit(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("output_io_error", str(exc)) from exc
 
 
 def cmd_hjb(args: argparse.Namespace) -> int:
@@ -175,9 +181,9 @@ def cmd_hjb(args: argparse.Namespace) -> int:
     solutions = hjb.enumerate_hjb(params, x)
     records = [sol.to_record() for sol in solutions]
     if args.format == "json":
-        emit(args, json.dumps(records, indent=2) + "\n")
+        emit(args.out, json.dumps(records, indent=2) + "\n")
     else:
-        emit(args, records_to_csv(hjb.CSV_FIELDS, records))
+        emit(args.out, records_to_csv(hjb.CSV_FIELDS, records))
     return 0
 
 
@@ -185,9 +191,9 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
     params = load_params(args)
     records = [fp.to_record() for _, fp in equilibrium.stationary_points(params)]
     if args.format == "json":
-        emit(args, json.dumps(records, indent=2) + "\n")
+        emit(args.out, json.dumps(records, indent=2) + "\n")
     else:
-        emit(args, records_to_csv(fixedpoint.CSV_FIELDS, records))
+        emit(args.out, records_to_csv(fixedpoint.CSV_FIELDS, records))
     return 0
 
 
@@ -195,9 +201,9 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     params = load_params(args)
     records = [eq.to_record() for eq in equilibrium.solve_mfg(params)]
     if args.format == "json":
-        emit(args, json.dumps(records, indent=2) + "\n")
+        emit(args.out, json.dumps(records, indent=2) + "\n")
     else:
-        emit(args, records_to_csv(equilibrium.EQUILIBRIUM_CSV_FIELDS, records))
+        emit(args.out, records_to_csv(equilibrium.EQUILIBRIUM_CSV_FIELDS, records))
     return 0
 
 
@@ -205,14 +211,14 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     params = load_params(args)
     report = equilibrium.kappa_thresholds(params).to_record()
     if args.format == "json":
-        emit(args, json.dumps(report, indent=2) + "\n")
+        emit(args.out, json.dumps(report, indent=2) + "\n")
     else:
         flat = dict(report)
         domains = flat.pop("domains")
         for key, value in domains.items():
             flat[f"domain_{key}"] = value
         fields = tuple(flat.keys())
-        emit(args, records_to_csv(fields, [flat]))
+        emit(args.out, records_to_csv(fields, [flat]))
     return 0
 
 
@@ -223,10 +229,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError("invalid_sweep", str(exc)) from exc
     if args.format == "json":
-        emit(args, json.dumps([r.to_record() for r in rows], indent=2) + "\n")
+        emit(args.out, json.dumps([r.to_record() for r in rows], indent=2) + "\n")
     else:
-        emit(args, records_to_csv(equilibrium.SWEEP_CSV_FIELDS,
-                                  [r.to_csv_record() for r in rows]))
+        emit(args.out, records_to_csv(equilibrium.SWEEP_CSV_FIELDS,
+                                      [r.to_csv_record() for r in rows]))
     return 0
 
 
@@ -245,6 +251,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = load_params(args)
     x0 = parse_state(args.x)
     policy = _parse_policy(args.policy)
+    myopic = policy == agentsim.MYOPIC
+    if args.switch_log and not myopic:
+        raise CliError("invalid_policy", "--switch-log needs --policy myopic")
     if args.replicas < 1:
         raise CliError("invalid_replicas", "--replicas must be >= 1")
     try:
@@ -255,40 +264,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("invalid_sim_config", str(exc)) from exc
     trajectories = agentsim.replica_trajectories(params, cfg, args.replicas)
 
-    myopic = policy == agentsim.MYOPIC
+    lead = ("replica",) if args.replicas > 1 else ()
     if args.switch_log:
-        if not myopic:
-            raise CliError("invalid_policy", "--switch-log needs --policy myopic")
-        lines = ["t,old_case,new_case,mu"]
-        for i, traj in enumerate(trajectories):
-            for sw in traj.switches:
-                row = f"{sw.t!r},{sw.old_case},{sw.new_case},{sw.mu!r}"
-                lines.append(f"{i},{row}" if args.replicas > 1 else row)
-        if args.replicas > 1:
-            lines[0] = "replica," + lines[0]
-        with open(args.switch_log, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        switches = [dict(dataclasses.asdict(sw), replica=i)
+                    for i, traj in enumerate(trajectories) for sw in traj.switches]
+        emit(args.switch_log, records_to_csv(
+            lead + ("t", "old_case", "new_case", "mu"), switches))
     if args.format == "json":
         payload = [_trajectory_record(traj, i, myopic)
                    for i, traj in enumerate(trajectories)]
-        emit(args, json.dumps(payload if args.replicas > 1 else payload[0],
-                              indent=2) + "\n")
+        emit(args.out, json.dumps(payload if args.replicas > 1 else payload[0],
+                                  indent=2) + "\n")
         return 0
-    lines = []
-    header = "t,x_DI,x_DS,x_UI,x_US" + (",case" if myopic else "")
-    if args.replicas > 1:
-        header = "replica," + header
-    lines.append(header)
+    rows = []
     for i, traj in enumerate(trajectories):
-        for k in range(len(traj.times)):
-            row = [repr(float(traj.times[k]))] + [
-                repr(float(v)) for v in traj.states[k]]
+        for k, t in enumerate(traj.times):
+            row = dict(zip(STATE_FIELDS, map(float, traj.states[k])),
+                       replica=i, t=float(t))
             if myopic:
-                row.append(traj.cases[k])
-            if args.replicas > 1:
-                row.insert(0, str(i))
-            lines.append(",".join(row))
-    emit(args, "\n".join(lines) + "\n")
+                row["case"] = traj.cases[k]
+            rows.append(row)
+    fields = lead + ("t",) + STATE_FIELDS + (("case",) if myopic else ())
+    emit(args.out, records_to_csv(fields, rows))
     return 0
 
 
@@ -310,12 +307,10 @@ def _trajectory_record(traj: agentsim.Trajectory, replica: int, myopic: bool) ->
 def cmd_validate(args: argparse.Namespace) -> int:
     results = validation.run_all(args.seed, args.trials)
     if args.format == "json":
-        emit(args, json.dumps([r.to_record() for r in results], indent=2) + "\n")
+        emit(args.out, json.dumps([r.to_record() for r in results], indent=2) + "\n")
     else:
-        lines = ["check,passed,failed,detail"]
-        for r in results:
-            lines.append(f"{r.name},{r.passed},{r.failed},{r.detail}")
-        emit(args, "\n".join(lines) + "\n")
+        rows = [dict(r.to_record(), check=r.name) for r in results]
+        emit(args.out, records_to_csv(("check", "passed", "failed", "detail"), rows))
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -7,10 +7,11 @@ Acyclic cases collapse to a scalar endemic-equilibrium quadratic
                                            b = within-group contact rate,
 
 whose unique root in (0, 1) gives the infected fraction.  The mixed cases
-reduce to a quartic in x_DI, solved by sign-change bracketing plus
-bisection; for large lam they collapse back to a quadratic of the same
-shape.  Case iv is the mirror image of case iii under the relabeling that
-swaps the defended and unprotected sides.
+reduce to a quartic in x_DI whose roots on [0, 1] are isolated exactly:
+the critical points, found recursively, cut [0, 1] into monotone pieces,
+each bisected and Newton-polished; for large lam they collapse back to a
+quadratic of the same shape.  Case iv is the mirror image of case iii
+under the relabeling that swaps the defended and unprotected sides.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .model import (
     kinetic_rhs,
 )
 
-BRACKET_GRID = 1e-3      # default grid for sign-change scanning on [0, 1]
 BISECT_TOL = 1e-13
+ROOT_ZERO_TOL = 1e-15    # |p(y)| <= this * sum|c_i| counts as a root at y
 RESIDUAL_TOL = 1e-9      # sup-norm bound on kinetic_rhs at a returned point
 STABLE_EIG_TOL = -1e-12  # stable <=> all eigenvalue real parts below this
 
@@ -168,29 +169,35 @@ def reconstruct_mixed_state(params: ModelParams, x_DI: float) -> StateDist:
     return StateDist(x_DI, x_DS, x_UI, x_DI)
 
 
-def bracket_roots(coeffs: np.ndarray, grid: float = BRACKET_GRID) -> list[float]:
-    """All roots of a polynomial on [0, 1] found by sign-change scanning
-    and bisection.  Exact zeros at grid nodes are kept as-is."""
-    n = max(2, int(round(1.0 / grid)))
-    ys = np.linspace(0.0, 1.0, n + 1)
-    vals = np.polynomial.polynomial.polyval(ys, coeffs)
+def bracket_roots(coeffs: np.ndarray) -> list[float]:
+    """All roots of a polynomial on [0, 1], ascending.
+
+    The real roots of the derivative in (0, 1), found by the same
+    isolation one degree down, split [0, 1] into monotone pieces.  A piece
+    whose end values change sign holds exactly one root, found by
+    bisection with Newton polishing; a piece end whose value is zero to
+    rounding is itself a root, so double roots at critical points are
+    kept.  A constant polynomial has no roots.
+    """
+    return _unit_roots(tuple(float(c) for c in coeffs))
+
+
+def _unit_roots(cs: tuple[float, ...]) -> list[float]:
+    while cs and cs[-1] == 0.0:
+        cs = cs[:-1]
+    if len(cs) <= 1:
+        return []
+    dcs = tuple((i + 1) * cs[i + 1] for i in range(len(cs) - 1))
+    knots = [0.0] + [r for r in _unit_roots(dcs) if 0.0 < r < 1.0] + [1.0]
+    vals = [_horner(cs, y) for y in knots]
+    zero = ROOT_ZERO_TOL * sum(abs(c) for c in cs)
     roots: list[float] = []
-    for i in range(n):
-        lo, hi = ys[i], ys[i + 1]
-        f_lo, f_hi = vals[i], vals[i + 1]
-        if f_lo == 0.0:
-            roots.append(float(lo))
-            continue
-        if f_lo * f_hi < 0.0:
-            roots.append(_bisect(coeffs, float(lo), float(hi), float(f_lo)))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-    # collapse duplicates from roots landing exactly on nodes
-    out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > BISECT_TOL:
-            out.append(r)
-    return out
+    for i, (y, f) in enumerate(zip(knots, vals)):
+        if abs(f) <= zero:
+            roots.append(y)
+        elif i + 1 < len(knots) and abs(vals[i + 1]) > zero and f * vals[i + 1] < 0.0:
+            roots.append(_bisect(cs, dcs, y, knots[i + 1], f))
+    return roots
 
 
 def _horner(coeffs: tuple[float, ...], y: float) -> float:
@@ -200,8 +207,8 @@ def _horner(coeffs: tuple[float, ...], y: float) -> float:
     return acc
 
 
-def _bisect(coeffs: np.ndarray, lo: float, hi: float, f_lo: float) -> float:
-    cs = tuple(float(c) for c in coeffs)
+def _bisect(cs: tuple[float, ...], dcs: tuple[float, ...],
+            lo: float, hi: float, f_lo: float) -> float:
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = _horner(cs, mid)
@@ -214,7 +221,6 @@ def _bisect(coeffs: np.ndarray, lo: float, hi: float, f_lo: float) -> float:
     root = 0.5 * (lo + hi)
     # a few Newton polishing steps; the switching-rate scale makes the
     # residual budget tight for large lam
-    dcs = tuple(float((i + 1) * coeffs[i + 1]) for i in range(len(coeffs) - 1))
     for _ in range(3):
         f = _horner(cs, root)
         df = _horner(dcs, root)
@@ -227,18 +233,18 @@ def _bisect(coeffs: np.ndarray, lo: float, hi: float, f_lo: float) -> float:
     return root
 
 
-def fixed_point_mixed(params: ModelParams, case: StrategyCase,
-                      grid: float = BRACKET_GRID) -> list[FixedPoint]:
+def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoint]:
     """All stationary points of a mixed case at finite lam.
 
-    Case iii solves the quartic directly; case iv solves the relabeled
-    case-iii problem and swaps the coordinates back.  Roots that cannot be
-    reconstructed into a simplex point (including those at the
-    back-substitution pole) are discarded, as are reconstructions whose
-    kinetic residual exceeds the fixed-point tolerance.
+    Case iii isolates every root of the quartic on [0, 1] exactly (see
+    bracket_roots); case iv solves the relabeled case-iii problem and
+    swaps the coordinates back.  Roots that cannot be reconstructed into a
+    simplex point (including those at the back-substitution pole) are
+    discarded, as are reconstructions whose kinetic residual exceeds the
+    fixed-point tolerance.
     """
     if case is StrategyCase.DEFEND_INFECTED:
-        mirrored = fixed_point_mixed(_swap_du(params), StrategyCase.DEFEND_SUSCEPTIBLE, grid)
+        mirrored = fixed_point_mixed(_swap_du(params), StrategyCase.DEFEND_SUSCEPTIBLE)
         out = []
         for fp in mirrored:
             swapped = FixedPoint(
@@ -249,26 +255,16 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase,
     if case is not StrategyCase.DEFEND_SUSCEPTIBLE:
         raise ValueError(f"{case} is not a mixed case")
 
-    coeffs = mixed_quartic_coeffs(params)
-    control = case.control
     points: list[FixedPoint] = []
-    attempt_grid = grid
-    for _ in range(3):  # doubling-refinement guard against missed brackets
-        points = []
-        for root in bracket_roots(coeffs, attempt_grid):
-            try:
-                x = reconstruct_mixed_state(params, root)
-            except (DenominatorPole, ValueError):
-                continue
-            residual = float(np.max(np.abs(kinetic_rhs(params, x, control))))
-            if residual > RESIDUAL_TOL:
-                continue
-            fp = FixedPoint(x=x, case=case, eigenvalues=(0j, 0j, 0j),
-                            stable=False, method="quartic_numeric")
+    for root in bracket_roots(mixed_quartic_coeffs(params)):
+        try:
+            x = reconstruct_mixed_state(params, root)
+        except (DenominatorPole, ValueError):
+            continue
+        fp = FixedPoint(x=x, case=case, eigenvalues=(0j, 0j, 0j),
+                        stable=False, method="quartic_numeric")
+        if fixed_point_residual(params, fp) <= RESIDUAL_TOL:
             points.append(stability(params, fp))
-        if points:
-            break
-        attempt_grid /= 2.0
     return points
 
 

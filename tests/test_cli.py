@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from botnet_mfg import agentsim
 from botnet_mfg.cli import main
 from botnet_mfg.model import ModelParams
 
@@ -95,6 +97,13 @@ class TestConfigErrors:
         assert code == 2
         assert json.loads(err)["error"] == "config_io_error"
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG.encode() + "# d\xe9fense\n".encode("latin-1"))
+        code, _, err = run(capsys, "equilibria", "--config", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "config_parse_error"
+
     def test_invalid_value_exit_1(self, config_path, capsys):
         code, _, err = run(capsys, "equilibria", "--config", config_path,
                            "--set", "lambda=0")
@@ -163,13 +172,30 @@ class TestCommands:
         assert code == 0
         assert log.read_text().split("\n")[0] == "t,old_case,new_case,mu"
 
-    def test_switch_log_rejected_for_fixed_policy(self, config_path, tmp_path, capsys):
+    def test_switch_log_rejected_for_fixed_policy(self, config_path, tmp_path,
+                                                  capsys, monkeypatch):
+        def fail(*_args):
+            raise AssertionError("simulated before rejecting --switch-log")
+
+        monkeypatch.setattr(agentsim, "replica_trajectories", fail)
         code, _, err = run(capsys, "simulate", "--config", config_path,
                            "--x", "0,0,0.3,0.7", "--n-agents", "10",
                            "--horizon", "1.0", "--seed", "5",
                            "--policy", "fixed:i",
                            "--switch-log", str(tmp_path / "x.csv"))
         assert code == 1
+        assert json.loads(err)["error"] == "invalid_policy"
+
+    @pytest.mark.parametrize("flag", ["--out", "--switch-log"])
+    def test_unwritable_output_exit_1(self, flag, config_path, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--config", config_path,
+                           "--set", "lambda=20",
+                           "--x", "0,0,0.3,0.7", "--n-agents", "10",
+                           "--horizon", "1.0", "--seed", "5",
+                           "--policy", "myopic",
+                           flag, str(tmp_path / "missing" / "x.csv"))
+        assert code == 1
+        assert json.loads(err)["error"] == "output_io_error"
 
     def test_bad_policy(self, config_path, capsys):
         code, _, err = run(capsys, "simulate", "--config", config_path,
@@ -186,6 +212,14 @@ class TestCommands:
         report = json.loads(out)
         assert all(r["failed"] == 0 for r in report)
         assert {r["name"] for r in report} >= {"oracle_agreement", "hjb_residual"}
+
+
+class TestGolden:
+    def test_validate_csv_sha256(self, capsys):
+        code, out, _ = run(capsys, "validate", "--seed", "5", "--trials", "40")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4ab0d2399b2a483d4894f407652fb378a5671c5ecc65a1a099338b8e51292509")
 
 
 class TestDeterminism:

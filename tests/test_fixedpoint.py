@@ -9,6 +9,7 @@ from botnet_mfg import (
     fixed_point_mixed,
     fixed_point_mixed_asymptotic,
     kinetic_rhs,
+    fixedpoint,
     stability,
 )
 from botnet_mfg.fixedpoint import (
@@ -178,6 +179,48 @@ class TestMixed:
         # the defended-infected sliver scales like x_UI * q_rec_U / lam
         assert fp.x.x_DI == pytest.approx(
             fp.x.x_UI * params.q_rec_U / params.lam, rel=20.0 / params.lam)
+
+
+class TestBracketRoots:
+    """Exact isolation finds every root on [0, 1], however close."""
+
+    @pytest.mark.parametrize("roots, expected, tol", [
+        ((0.3, 0.301, 0.6, 0.9), (0.3, 0.301, 0.6, 0.9), 1e-9),
+        ((0.3002, 0.3003, 0.6, 0.9), (0.3002, 0.3003, 0.6, 0.9), 1e-9),
+        ((0.25, 0.25, 0.7, 0.1), (0.1, 0.25, 0.7), 1e-12),
+        ((1.0 / 3.0, 1.0 / 3.0, 0.6, 0.9), (1.0 / 3.0, 0.6, 0.9), 1e-12),
+        ((0.0, 1.0, 0.4, 0.6), (0.0, 0.4, 0.6, 1.0), 1e-12),
+        ((0.5, -2.0, 1.5, 3.0), (0.5,), 1e-12),
+    ])
+    def test_every_root_of_a_quartic(self, roots, expected, tol):
+        got = bracket_roots(np.polynomial.polynomial.polyfromroots(roots))
+        assert got == pytest.approx(list(expected), abs=tol)
+
+    def test_exact_ends_are_returned_exactly(self):
+        got = bracket_roots(np.polynomial.polynomial.polyfromroots((0.0, 1.0, 0.4, 0.6)))
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+    @pytest.mark.parametrize("roots", [(0.2, 0.7, 0.9), (0.2, 0.7)])
+    def test_leading_zero_coefficients(self, roots):
+        coeffs = np.zeros(5)
+        poly = np.polynomial.polynomial.polyfromroots(roots)
+        coeffs[: len(poly)] = poly
+        assert bracket_roots(coeffs) == pytest.approx(list(roots), abs=1e-12)
+
+    def test_constant_has_no_roots(self):
+        assert bracket_roots(np.array([3.0, 0.0, 0.0, 0.0, 0.0])) == []
+
+    @pytest.mark.parametrize("case", [CASE_III, CASE_IV])
+    def test_one_isolation_per_mixed_solve(self, case, base_params, monkeypatch):
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return bracket_roots(coeffs)
+
+        monkeypatch.setattr(fixedpoint, "bracket_roots", counting)
+        assert fixed_point_mixed(base_params, case)
+        assert len(calls) == 1
 
 
 class TestAsymptotic:
