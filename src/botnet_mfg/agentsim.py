@@ -108,10 +108,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.sample_interval <= 0.0:
-            raise ValueError("sample_interval must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("horizon", "sample_interval"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if isinstance(self.policy, str) and self.policy != MYOPIC:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.myopic_recompute not in ("interval", "event"):
@@ -198,10 +202,7 @@ def _resolve_control(params: ModelParams, x: StateDist,
     if not solutions:
         notes.append(f"t={t!r}: no valid solution at x={x.as_tuple()!r}; control retained")
         return current, None
-    best = solutions[0]
-    for sol in solutions[1:]:
-        if sol.mu < best.mu:
-            best = sol
+    best = solutions[0]  # enumerate_hjb sorts by cost
     if best.control != current and any(
         s.control == current and s.mu <= best.mu + 1e-15 for s in solutions
     ):

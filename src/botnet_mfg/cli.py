@@ -11,8 +11,9 @@
 
 Parameters come from a flat key=value config file (see ModelParams), with
 --set KEY=VALUE overrides.  Output is CSV (default) or JSON, to stdout or
---out.  Exit codes: 0 success, 1 validation failure or unwritable output,
-2 config parse error.
+--out; every command writes it through ``write``.  Exit codes: 0 success,
+1 validation failure, invalid input value or unwritable output, 2 config
+parse error.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable
 
 from . import agentsim, equilibrium, fixedpoint, hjb, validation
 from .model import (
     CONFIG_KEYS,
+    STATE_FIELDS,
     _FIELD_BY_KEY,
     ControlVector,
     InvalidSimplex,
@@ -33,8 +36,7 @@ from .model import (
     StrategyCase,
 )
 
-
-STATE_FIELDS = ("x_DI", "x_DS", "x_UI", "x_US")
+SWITCH_FIELDS = tuple(f.name for f in dataclasses.fields(agentsim.SwitchEvent))
 
 
 class CliError(Exception):
@@ -175,51 +177,41 @@ def emit(path: str | None, text: str) -> None:
         raise CliError("output_io_error", str(exc)) from exc
 
 
-def cmd_hjb(args: argparse.Namespace) -> int:
-    params = load_params(args)
-    x = parse_state(args.x)
-    solutions = hjb.enumerate_hjb(params, x)
-    records = [sol.to_record() for sol in solutions]
+def write(args: argparse.Namespace, fields: tuple[str, ...],
+          rows: Callable[[], list[dict]], payload: Callable[[], object] | None = None) -> int:
+    """Write a command's output to --out or stdout; returns exit code 0.
+
+    CSV writes rows() under the columns fields; JSON writes payload(),
+    which defaults to rows().  Only the chosen form is built.
+    """
     if args.format == "json":
-        emit(args.out, json.dumps(records, indent=2) + "\n")
+        emit(args.out, json.dumps((payload or rows)(), indent=2) + "\n")
     else:
-        emit(args.out, records_to_csv(hjb.CSV_FIELDS, records))
+        emit(args.out, records_to_csv(fields, rows()))
     return 0
+
+
+def cmd_hjb(args: argparse.Namespace) -> int:
+    solutions = hjb.enumerate_hjb(load_params(args), parse_state(args.x))
+    return write(args, hjb.CSV_FIELDS, lambda: [sol.to_record() for sol in solutions])
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
-    params = load_params(args)
-    records = [fp.to_record() for _, fp in equilibrium.stationary_points(params)]
-    if args.format == "json":
-        emit(args.out, json.dumps(records, indent=2) + "\n")
-    else:
-        emit(args.out, records_to_csv(fixedpoint.CSV_FIELDS, records))
-    return 0
+    points = equilibrium.stationary_points(load_params(args))
+    return write(args, fixedpoint.CSV_FIELDS, lambda: [fp.to_record() for _, fp in points])
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
-    params = load_params(args)
-    records = [eq.to_record() for eq in equilibrium.solve_mfg(params)]
-    if args.format == "json":
-        emit(args.out, json.dumps(records, indent=2) + "\n")
-    else:
-        emit(args.out, records_to_csv(equilibrium.EQUILIBRIUM_CSV_FIELDS, records))
-    return 0
+    eqs = equilibrium.solve_mfg(load_params(args))
+    return write(args, equilibrium.EQUILIBRIUM_CSV_FIELDS,
+                 lambda: [eq.to_record() for eq in eqs])
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    params = load_params(args)
-    report = equilibrium.kappa_thresholds(params).to_record()
-    if args.format == "json":
-        emit(args.out, json.dumps(report, indent=2) + "\n")
-    else:
-        flat = dict(report)
-        domains = flat.pop("domains")
-        for key, value in domains.items():
-            flat[f"domain_{key}"] = value
-        fields = tuple(flat.keys())
-        emit(args.out, records_to_csv(fields, [flat]))
-    return 0
+    report = equilibrium.kappa_thresholds(load_params(args)).to_record()
+    flat = {key: value for key, value in report.items() if key != "domains"}
+    flat.update((f"domain_{key}", value) for key, value in report["domains"].items())
+    return write(args, tuple(flat), lambda: [flat], lambda: report)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -228,12 +220,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = equilibrium.sweep_kappa(params, args.kappa_min, args.kappa_max, args.steps)
     except ValueError as exc:
         raise CliError("invalid_sweep", str(exc)) from exc
-    if args.format == "json":
-        emit(args.out, json.dumps([r.to_record() for r in rows], indent=2) + "\n")
-    else:
-        emit(args.out, records_to_csv(equilibrium.SWEEP_CSV_FIELDS,
-                                      [r.to_csv_record() for r in rows]))
-    return 0
+    return write(args, equilibrium.SWEEP_CSV_FIELDS,
+                 lambda: [r.to_csv_record() for r in rows],
+                 lambda: [r.to_record() for r in rows])
 
 
 def _parse_policy(text: str) -> ControlVector | str:
@@ -268,36 +257,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.switch_log:
         switches = [dict(dataclasses.asdict(sw), replica=i)
                     for i, traj in enumerate(trajectories) for sw in traj.switches]
-        emit(args.switch_log, records_to_csv(
-            lead + ("t", "old_case", "new_case", "mu"), switches))
-    if args.format == "json":
-        payload = [_trajectory_record(traj, i, myopic)
-                   for i, traj in enumerate(trajectories)]
-        emit(args.out, json.dumps(payload if args.replicas > 1 else payload[0],
-                                  indent=2) + "\n")
-        return 0
-    rows = []
-    for i, traj in enumerate(trajectories):
-        for k, t in enumerate(traj.times):
-            row = dict(zip(STATE_FIELDS, map(float, traj.states[k])),
-                       replica=i, t=float(t))
-            if myopic:
-                row["case"] = traj.cases[k]
-            rows.append(row)
+        emit(args.switch_log, records_to_csv(lead + SWITCH_FIELDS, switches))
+
+    def sample_rows() -> list[dict]:
+        return [dict(zip(STATE_FIELDS, map(float, traj.states[k])), replica=i,
+                     t=float(t), case=traj.cases[k] if myopic else None)
+                for i, traj in enumerate(trajectories) for k, t in enumerate(traj.times)]
+
+    def payload() -> dict | list[dict]:
+        records = [_trajectory_record(traj, i, myopic) for i, traj in enumerate(trajectories)]
+        return records if args.replicas > 1 else records[0]
+
     fields = lead + ("t",) + STATE_FIELDS + (("case",) if myopic else ())
-    emit(args.out, records_to_csv(fields, rows))
-    return 0
+    return write(args, fields, sample_rows, payload)
 
 
 def _trajectory_record(traj: agentsim.Trajectory, replica: int, myopic: bool) -> dict:
-    rec = {
-        "replica": replica,
-        "t": [float(v) for v in traj.times],
-        "x_DI": [float(v) for v in traj.states[:, 0]],
-        "x_DS": [float(v) for v in traj.states[:, 1]],
-        "x_UI": [float(v) for v in traj.states[:, 2]],
-        "x_US": [float(v) for v in traj.states[:, 3]],
-    }
+    rec = {"replica": replica, "t": traj.times.tolist()}
+    rec.update(zip(STATE_FIELDS, traj.states.T.tolist()))
     if myopic:
         rec["case"] = traj.cases
         rec["switches"] = [dataclasses.asdict(s) for s in traj.switches]
@@ -305,12 +282,14 @@ def _trajectory_record(traj: agentsim.Trajectory, replica: int, myopic: bool) ->
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliError("invalid_seed", "--seed must be >= 0")
+    if args.trials < 1:
+        raise CliError("invalid_trials", "--trials must be >= 1")
     results = validation.run_all(args.seed, args.trials)
-    if args.format == "json":
-        emit(args.out, json.dumps([r.to_record() for r in results], indent=2) + "\n")
-    else:
-        rows = [dict(r.to_record(), check=r.name) for r in results]
-        emit(args.out, records_to_csv(("check", "passed", "failed", "detail"), rows))
+    write(args, ("check", "passed", "failed", "detail"),
+          lambda: [dict(r.to_record(), check=r.name) for r in results],
+          lambda: [r.to_record() for r in results])
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    STATE_FIELDS,
     ControlVector,
     ModelParams,
     StateDist,
@@ -40,6 +41,10 @@ class DenominatorPole(ArithmeticError):
     """The back-substitution denominator q_rec_U - beta_UU*x_DI vanished."""
 
 
+EIGENVALUE_FIELDS = tuple(f"eig{i}_{part}" for i in (1, 2, 3) for part in ("re", "im"))
+CSV_FIELDS = ("case", *STATE_FIELDS, *EIGENVALUE_FIELDS, "stable", "method")
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """A stationary population state under one strategy case."""
@@ -52,22 +57,9 @@ class FixedPoint:
     interior: bool = True      # False for the disease-free boundary fallback
 
     def to_record(self) -> dict:
-        rec = {
-            "case": self.case.label,
-            "x_DI": self.x.x_DI, "x_DS": self.x.x_DS,
-            "x_UI": self.x.x_UI, "x_US": self.x.x_US,
-        }
-        for i, eig in enumerate(self.eigenvalues, start=1):
-            rec[f"eig{i}_re"] = eig.real
-            rec[f"eig{i}_im"] = eig.imag
-        rec["stable"] = self.stable
-        rec["method"] = self.method
-        return rec
-
-
-CSV_FIELDS = ("case", "x_DI", "x_DS", "x_UI", "x_US",
-              "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im",
-              "stable", "method")
+        eigs = (v for z in self.eigenvalues for v in (z.real, z.imag))
+        return dict(zip(CSV_FIELDS, (self.case.label, *self.x.as_tuple(),
+                                     *eigs, self.stable, self.method)))
 
 
 def endemic_root(contact: float, recovery: float, direct: float) -> tuple[float, bool]:
@@ -109,9 +101,7 @@ def fixed_point_acyclic(params: ModelParams, case: StrategyCase) -> FixedPoint:
         x = StateDist(root, 1.0 - root, 0.0, 0.0)
     else:
         raise ValueError(f"{case} is not an acyclic case")
-    fp = FixedPoint(x=x, case=case, eigenvalues=(0j, 0j, 0j),
-                    stable=False, method="closed_form", interior=interior)
-    return stability(params, fp)
+    return _point(params, x, case, "closed_form", interior)
 
 
 def _swap_du(params: ModelParams) -> ModelParams:
@@ -245,13 +235,8 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
     """
     if case is StrategyCase.DEFEND_INFECTED:
         mirrored = fixed_point_mixed(_swap_du(params), StrategyCase.DEFEND_SUSCEPTIBLE)
-        out = []
-        for fp in mirrored:
-            swapped = FixedPoint(
-                x=_swap_state(fp.x), case=case, eigenvalues=(0j, 0j, 0j),
-                stable=False, method="quartic_numeric", interior=fp.interior)
-            out.append(stability(params, swapped))
-        return out
+        return [_point(params, _swap_state(fp.x), case, "quartic_numeric", fp.interior)
+                for fp in mirrored]
     if case is not StrategyCase.DEFEND_SUSCEPTIBLE:
         raise ValueError(f"{case} is not a mixed case")
 
@@ -261,10 +246,9 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
             x = reconstruct_mixed_state(params, root)
         except (DenominatorPole, ValueError):
             continue
-        fp = FixedPoint(x=x, case=case, eigenvalues=(0j, 0j, 0j),
-                        stable=False, method="quartic_numeric")
+        fp = _point(params, x, case, "quartic_numeric")
         if fixed_point_residual(params, fp) <= RESIDUAL_TOL:
-            points.append(stability(params, fp))
+            points.append(fp)
     return points
 
 
@@ -285,9 +269,7 @@ def fixed_point_mixed_asymptotic(params: ModelParams, case: StrategyCase) -> Fix
         x = StateDist(root, 0.0, 0.0, 1.0 - root)
     else:
         raise ValueError(f"{case} is not a mixed case")
-    fp = FixedPoint(x=x, case=case, eigenvalues=(0j, 0j, 0j),
-                    stable=False, method="large_lambda", interior=interior)
-    return stability(params, fp)
+    return _point(params, x, case, "large_lambda", interior)
 
 
 # coordinate eliminated by the simplex constraint when reducing to 3 variables
@@ -315,6 +297,12 @@ def reduced_jacobian(params: ModelParams, x: StateDist, u: ControlVector,
         for b, k in enumerate(keep):
             red[a, b] = full[i, k] - full[i, eliminated]
     return red
+
+
+def _point(params: ModelParams, x: StateDist, case: StrategyCase, method: str,
+           interior: bool = True) -> FixedPoint:
+    """The fixed point at x with its eigenvalues and stability filled in."""
+    return stability(params, FixedPoint(x, case, (0j, 0j, 0j), False, method, interior))
 
 
 def stability(params: ModelParams, fp: FixedPoint) -> FixedPoint:

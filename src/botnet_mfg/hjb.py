@@ -69,6 +69,10 @@ class TooManySolutions(ArithmeticError):
     """More than two distinct case solutions were valid at one state."""
 
 
+CSV_FIELDS = ("case", "mu", "g_DI", "g_DS", "g_UI", "g_US",
+              "valid", "degenerate", "slack1", "slack2")
+
+
 @dataclass(frozen=True)
 class HjbSolution:
     """One candidate solution of the optimality system.
@@ -96,22 +100,9 @@ class HjbSolution:
         return np.array([self.g_DI, self.g_DS, self.g_UI, self.g_US])
 
     def to_record(self) -> dict:
-        return {
-            "case": self.case.label if self.case is not None else None,
-            "mu": self.mu,
-            "g_DI": self.g_DI,
-            "g_DS": self.g_DS,
-            "g_UI": self.g_UI,
-            "g_US": self.g_US,
-            "valid": self.valid,
-            "degenerate": self.degenerate,
-            "slack1": self.slack1,
-            "slack2": self.slack2,
-        }
-
-
-CSV_FIELDS = ("case", "mu", "g_DI", "g_DS", "g_UI", "g_US",
-              "valid", "degenerate", "slack1", "slack2")
+        rec = {name: getattr(self, name) for name in CSV_FIELDS}
+        rec["case"] = self.case.label if self.case is not None else None
+        return rec
 
 
 def _check_denominator(value: float, what: str) -> float:

@@ -215,6 +215,9 @@ CONFIG_KEYS = (
 )
 _FIELD_BY_KEY = {key: ("lam" if key == "lambda" else key) for key in CONFIG_KEYS}
 
+# the state components in coordinate order; also the state column names
+STATE_FIELDS = ("x_DI", "x_DS", "x_UI", "x_US")
+
 
 @dataclass(frozen=True)
 class StateDist:
@@ -241,7 +244,7 @@ class StateDist:
             raise InvalidSimplex(f"components sum to {total}, not 1")
         clipped = [max(c, 0.0) for c in comps]
         total = math.fsum(clipped)
-        for name, value in zip(("x_DI", "x_DS", "x_UI", "x_US"), clipped):
+        for name, value in zip(STATE_FIELDS, clipped):
             object.__setattr__(self, name, value / total)
 
     def as_array(self) -> np.ndarray:

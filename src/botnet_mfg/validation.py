@@ -7,7 +7,7 @@ pass/fail count, so a single seed reproduces a full report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class CheckResult:
         return self.failed == 0
 
     def to_record(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "failed": self.failed, "detail": self.detail}
+        return asdict(self)
 
 
 def random_params(rng: np.random.Generator, lam: float | None = None,

@@ -214,7 +214,117 @@ class TestCommands:
         assert {r["name"] for r in report} >= {"oracle_agreement", "hjb_residual"}
 
 
+SIMULATE = ["--x", "0,0,0.3,0.7", "--n-agents", "10", "--policy", "fixed:i"]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1", "--horizon", "1.0"],
+        ["--seed", "5", "--horizon", "inf"],
+        ["--seed", "5", "--horizon", "1.0", "--sample-interval", "nan"],
+    ], ids=["negative-seed", "infinite-horizon", "nan-sample-interval"])
+    def test_simulate_rejects(self, flags, config_path, capsys):
+        code, out, err = run(capsys, "simulate", "--config", config_path,
+                             *SIMULATE, *flags)
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "invalid_sim_config"
+
+    def test_validate_rejects_negative_seed(self, capsys):
+        code, out, err = run(capsys, "validate", "--seed", "-1", "--trials", "5")
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "invalid_seed"
+
+    def test_validate_rejects_nonpositive_trials(self, capsys):
+        code, out, err = run(capsys, "validate", "--seed", "5", "--trials", "-3")
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "invalid_trials"
+
+
+GOLDEN_ARGS = {
+    "hjb": ["--x", "0.1,0.4,0.2,0.3"],
+    "fixed-points": [],
+    "equilibria": [],
+    "thresholds": [],
+    "sweep": ["--kappa-min", "0.45", "--kappa-max", "0.72", "--steps", "10"],
+    "simulate": ["--x", "0.3,0.3,0.2,0.2", "--n-agents", "200", "--horizon", "3.0",
+                 "--seed", "5", "--policy", "myopic", "--sample-interval", "0.5",
+                 "--replicas", "2", "--set", "lambda=20", "--set", "k_D=0.6"],
+}
+
+# sha256 of each command's stdout on CONFIG
+GOLDEN_SHA256 = {
+    ("hjb", "csv"):
+        "8d808196bff21895a92ce00a974793b09868238d6f98050b3d6c2f9d1009518a",
+    ("hjb", "json"):
+        "6422d3a349abed3babd42bac045dc6169c428568ebfd1b41614330d5f8dee394",
+    ("fixed-points", "csv"):
+        "1bd1a414fda057367f2e78261986d9b18064f99838422a93a8f35ea0d00ad423",
+    ("fixed-points", "json"):
+        "b739a748faadd8168c4881df15edaa9e418b98c214c8af9d159d78a7216899d4",
+    ("equilibria", "csv"):
+        "67dc4be69f608e58425e9b9130b8f50d97136f701eb9868792fbe48a96fb1d9d",
+    ("equilibria", "json"):
+        "4e12b9d8ca2009a35e0bf8ea9e474191844e959b9bd0890cbe1816d13d2f3a43",
+    ("thresholds", "csv"):
+        "31eb1d8ce0ef77830de19d917426bace092256cf6c71f07bd918d55d532975fc",
+    ("thresholds", "json"):
+        "82f9f302cc8a9897d6f82eada39ec5e974f0b96cc5d8ceb964ff13dbba46771e",
+    ("sweep", "csv"):
+        "fa6e3df18ac284306d1f7b2d8327ca2b2f6d0679c1deaee1668e02632967cf17",
+    ("sweep", "json"):
+        "0bc09c8dde2234a422d1a35b8f6dc465ff960fb503278a0a852ee90a20e7358f",
+    ("simulate", "csv"):
+        "ce5ec4b4cc8b9eca0d70fe41f0860253a3c15461f20a8f05d2c06224b7d73798",
+    ("simulate", "json"):
+        "356dead18c1e22ceb274e9bb33a2032e21d5f55d0c12938cad896d7847c093f0",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGolden:
+    @pytest.mark.parametrize("command, fmt", list(GOLDEN_SHA256),
+                             ids=[f"{c}-{f}" for c, f in GOLDEN_SHA256])
+    def test_command_sha256(self, command, fmt, config_path, capsys):
+        code, out, err = run(capsys, command, "--config", config_path,
+                             "--format", fmt, *GOLDEN_ARGS[command])
+        assert code == 0 and not err
+        assert sha256(out) == GOLDEN_SHA256[command, fmt]
+
+    def test_simulate_fixed_csv_sha256(self, config_path, capsys):
+        code, out, _ = run(capsys, "simulate", "--config", config_path,
+                           "--x", "0,0,0.3,0.7", "--n-agents", "200",
+                           "--horizon", "2.0", "--seed", "5",
+                           "--policy", "fixed:i", "--sample-interval", "0.5")
+        assert code == 0
+        assert sha256(out) == (
+            "87c46ef885fbee5fd2c597041442e77738b23548e387d1d8521e726e1083c8c6")
+
+    def test_switch_log_sha256(self, config_path, tmp_path, capsys):
+        log = tmp_path / "switches.csv"
+        code, _, _ = run(capsys, "simulate", "--config", config_path,
+                         "--switch-log", str(log), *GOLDEN_ARGS["simulate"])
+        assert code == 0
+        assert sha256(log.read_text()) == (
+            "684f8b0c444f15c78618c8c5ef56861c297ce713d8dfdcaa9c5a70b063f3aa58")
+
+    def test_empty_equilibria_prints_header(self, config_path, capsys):
+        code, out, _ = run(capsys, "equilibria", "--config", config_path,
+                           "--set", "k_D=0.62")
+        assert code == 0
+        assert out.count("\n") == 1 and out.startswith("case,x_DI,")
+        assert sha256(out) == (
+            "0fd015cd19ba06eb50c8040ee7c7d61b18de2af56d82ba93c25d8436a32aada6")
+
+    def test_validate_json_sha256(self, capsys):
+        code, out, _ = run(capsys, "validate", "--seed", "5", "--trials", "40",
+                           "--format", "json")
+        assert code == 0
+        assert sha256(out) == (
+            "58d9e1ca578148403ee4d5a402b0f0a6eebe3852e5d40fb196a5a99965dc3992")
+
     def test_validate_csv_sha256(self, capsys):
         code, out, _ = run(capsys, "validate", "--seed", "5", "--trials", "40")
         assert code == 0
