@@ -25,8 +25,8 @@ from .hjb import (
     HjbSolution,
     SingularSystem,
     TooManySolutions,
+    case_interval,
     enumerate_hjb,
-    large_lambda_classify,
     oracle_enumerate,
     solve_case,
 )
@@ -67,9 +67,9 @@ __all__ = [
     "FixedPoint", "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
     "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "Subdomain",
     "SweepRow", "TooManySolutions", "Trajectory", "alpha_beta",
-    "classify_domain", "compare_ode", "enumerate_hjb",
+    "case_interval", "classify_domain", "compare_ode", "enumerate_hjb",
     "fixed_point_acyclic", "fixed_point_mixed", "fixed_point_mixed_asymptotic",
     "integrate", "kappa_of", "kappa_thresholds", "kinetic_jacobian",
-    "kinetic_rhs", "large_lambda_classify", "oracle_enumerate", "simulate",
+    "kinetic_rhs", "oracle_enumerate", "simulate",
     "simulate_myopic", "solve_case", "solve_mfg", "stability", "sweep_kappa",
 ]

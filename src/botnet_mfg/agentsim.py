@@ -336,8 +336,7 @@ class DeviationStats:
 
 def compare_ode(params: ModelParams,
                 trajectories: Trajectory | list[Trajectory],
-                u: ControlVector,
-                ode_step: float | None = None) -> DeviationStats:
+                u: ControlVector) -> DeviationStats:
     """Deviation of empirical trajectories from the kinetic ODE.
 
     Integrates the ODE from each trajectory's own starting state, lands
@@ -351,21 +350,19 @@ def compare_ode(params: ModelParams,
         raise ValueError("need at least one trajectory")
     devs = []
     for traj in trajectories:
-        devs.append(_sup_deviation(params, traj, u, ode_step))
+        devs.append(_sup_deviation(params, traj, u))
     arr = np.array(devs)
     return DeviationStats(mean=float(arr.mean()),
                           std=float(arr.std(ddof=1)) if len(devs) > 1 else 0.0,
                           per_replica=tuple(devs))
 
 
-def _sup_deviation(params: ModelParams, traj: Trajectory, u: ControlVector,
-                   ode_step: float | None) -> float:
+def _sup_deviation(params: ModelParams, traj: Trajectory, u: ControlVector) -> float:
     if len(traj.times) < 2:
         return 0.0
     dt = float(traj.times[1] - traj.times[0])
     horizon = float(traj.times[-1])
-    if ode_step is None:
-        ode_step = min(dt, 1e-2 / params.max_rate())
+    ode_step = min(dt, 1e-2 / params.max_rate())
     substeps = max(1, math.ceil(dt / ode_step))
     x0 = traj.dist_at(0)
     path = integrate(params, x0, u, horizon, step=dt / substeps, sample_every=substeps)

@@ -12,8 +12,9 @@
 Parameters come from a flat key=value config file (see ModelParams), with
 --set KEY=VALUE overrides.  Output is CSV (default) or JSON, to stdout or
 --out; every command writes it through ``write``.  Exit codes: 0 success,
-1 validation failure, invalid input value or unwritable output, 2 config
-parse error.
+1 validation failure, invalid input value, degenerate rates (thresholds)
+or unwritable output, 2 config parse error.  The parser is built once, at
+import, and reused by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -208,7 +209,11 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    report = equilibrium.kappa_thresholds(load_params(args)).to_record()
+    params = load_params(args)
+    try:
+        report = equilibrium.kappa_thresholds(params).to_record()
+    except hjb.DegenerateDenominator as exc:
+        raise CliError("degenerate_rates", str(exc)) from exc
     flat = {key: value for key, value in report.items() if key != "domains"}
     flat.update((f"domain_{key}", value) for key, value in report["domains"].items())
     return write(args, tuple(flat), lambda: [flat], lambda: report)
@@ -304,8 +309,11 @@ COMMANDS = {
 }
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except CliError as exc:

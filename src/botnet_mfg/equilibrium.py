@@ -12,6 +12,7 @@ and produces kappa-sweep tables for phase diagrams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -28,9 +29,7 @@ from .model import (
     classify_domain,
 )
 
-CONSISTENCY_SLACK = -1e-9      # HJB validity slack accepted when pairing
 EFFICIENCY_TIE_TOL = 1e-12
-NEAR_BIFURCATION_FACTOR = 10.0  # tag sweep rows within this / lam of a threshold
 
 
 class AssumptionViolation(ValueError):
@@ -98,7 +97,7 @@ def _rank_equilibria(params: ModelParams,
             sol = hjb_mod.solve_case(params, fp.x, case)
         except hjb_mod.DegenerateDenominator:
             continue
-        if sol.valid and min(sol.slack1, sol.slack2) >= CONSISTENCY_SLACK:
+        if sol.valid:
             found.append((fp.x, case, sol, fp))
 
     if not found:
@@ -164,29 +163,33 @@ class BifurcationReport:
     domains: dict[str, str]
     kappa_z_increasing: bool
 
-    def thresholds(self) -> list[float]:
-        vals = [self.kappa_1, self.kappa_2, self.kappa_3, self.kappa_4]
-        if self.kappa_star is not None:
-            vals += [self.kappa_star, self.kappa_bar_star]
-        out: list[float] = []
-        for v in vals:
-            if v is not None and np.isfinite(v) and not any(abs(v - w) <= 1e-12 for w in out):
-                out.append(float(v))
-        return sorted(out)
-
     def to_record(self) -> dict:
         return asdict(self)
 
 
-def _threshold_pair(params: ModelParams, x: StateDist) -> tuple[float, float]:
-    """((beta-alpha)/(beta+q_rec_U), delta/(alpha+q_rec_D)) at a state."""
+def _ratio(num: float, den: float, what: str) -> float:
+    if den == 0.0:
+        raise hjb_mod.DegenerateDenominator(f"{what} vanishes")
+    return num / den
+
+
+def _gap_threshold(params: ModelParams, x: StateDist) -> float:
+    """(beta-alpha)/(beta+q_rec_U) at a state."""
     alpha, beta = alpha_beta(params, x)
-    return ((beta - alpha) / (beta + params.q_rec_U),
-            params.delta / (alpha + params.q_rec_D))
+    return _ratio(beta - alpha, beta + params.q_rec_U, "beta + q_rec_U")
+
+
+def _delta_threshold(params: ModelParams, x: StateDist) -> float:
+    """delta/(alpha+q_rec_D) at a state."""
+    alpha, _ = alpha_beta(params, x)
+    return _ratio(params.delta, alpha + params.q_rec_D, "alpha + q_rec_D")
 
 
 def kappa_thresholds(params: ModelParams) -> BifurcationReport:
-    """Bifurcation thresholds from the three closed-form fixed points."""
+    """Bifurcation thresholds from the three closed-form fixed points.
+
+    Raises DegenerateDenominator when a threshold's denominator vanishes.
+    """
     fp_i = fp_mod.fixed_point_acyclic(params, StrategyCase.PREFER_UNPROTECTED)
     fp_ii = fp_mod.fixed_point_acyclic(params, StrategyCase.PREFER_DEFENDED)
     fp_iii = fp_mod.fixed_point_mixed_asymptotic(params, StrategyCase.DEFEND_SUSCEPTIBLE)
@@ -195,9 +198,10 @@ def kappa_thresholds(params: ModelParams) -> BifurcationReport:
     x_star_DI = fp_ii.x.x_DI
     x_bar_star_UI = fp_iii.x.x_UI
 
-    kappa_1, _ = _threshold_pair(params, fp_i.x)
-    _, kappa_2 = _threshold_pair(params, fp_ii.x)
-    kappa_4, kappa_3 = _threshold_pair(params, fp_iii.x)
+    kappa_1 = _gap_threshold(params, fp_i.x)
+    kappa_2 = _delta_threshold(params, fp_ii.x)
+    kappa_3 = _delta_threshold(params, fp_iii.x)
+    kappa_4 = _gap_threshold(params, fp_iii.x)
 
     if params.has_equal_recovery_rates:
         kappa_star: float | None = kappa_of(params, x_star_UI)
@@ -258,22 +262,24 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
 
     The stationary points do not depend on kappa, so they are solved once
     per sweep; each grid point only re-solves the Bellman system at them.
-    Rows whose kappa lies within 10/lam of any computed threshold are
-    tagged near_bifurcation; the large-lam case classification is only
-    trustworthy outside such windows.
+    Each point's equilibrium exists on the exact kappa interval of its
+    case there (``hjb.case_interval``); rows within one grid step of a
+    finite end of a non-empty interval are tagged near_bifurcation, so
+    the count never changes between two untagged neighbours (points whose
+    P or Q vanishes have no interval and are skipped).
     """
     if not (0.0 <= kappa_min < kappa_max):
         raise ValueError("need 0 <= kappa_min < kappa_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    thresholds = kappa_thresholds(params).thresholds()
-    window = NEAR_BIFURCATION_FACTOR / params.lam
     points = stationary_points(params)
+    ends = _interval_ends(params, points)
+    step = (kappa_max - kappa_min) / (steps - 1)
     rows = []
     for kappa in np.linspace(kappa_min, kappa_max, steps):
         kappa = float(kappa)
         eqs = _rank_equilibria(params.with_kappa(kappa), points)
-        near = any(abs(kappa - t) <= window for t in thresholds)
+        near = any(abs(kappa - end) <= step for end in ends)
         rows.append(SweepRow(
             kappa=kappa,
             count=len(eqs),
@@ -283,3 +289,17 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
             near_bifurcation=near,
         ))
     return rows
+
+
+def _interval_ends(params: ModelParams,
+                   points: list[tuple[StrategyCase, fp_mod.FixedPoint]]) -> list[float]:
+    """Finite ends of the non-empty kappa intervals of the points' cases."""
+    ends = []
+    for case, fp in points:
+        try:
+            lo, hi = hjb_mod.case_interval(params, fp.x, case)
+        except hjb_mod.DegenerateDenominator:
+            continue
+        if lo <= hi:
+            ends += [end for end in (lo, hi) if math.isfinite(end)]
+    return ends

@@ -26,25 +26,35 @@ the validity regions in the cost ratio kappa = k_D/k_I are
     case iv  : kappa*Q <= A  and  kappa*P >= B
 
 B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
-decided by the domain D1/D2 of x.
+decided by the domain D1/D2 of x.  P and Q are positive off degenerate
+rates, so each region is one closed interval in kappa, exact at every
+lam (``case_interval``):
+
+    case i   : [max(A,B)/Q, inf)
+    case ii  : (-inf, min(A,B)/P]
+    case iii : [A/P, B/Q]
+    case iv  : [B/P, A/Q]
+
+With s = alpha + q_rec_D, r = beta + q_rec_U and delta = q_rec_D - q_rec_U,
+the endpoints A/P, B/Q, B/P, A/Q tend to delta/s, (beta-alpha)/r,
+(beta-alpha)/s, delta/r as lam -> infinity, at rate 1/lam.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     CASE_CONTROLS,
     ControlVector,
-    Domain,
     ModelParams,
     StateDist,
     StrategyCase,
     alpha_beta,
-    classify_domain,
 )
 
 # a slack inside [-DEGENERATE_SLACK, DEGENERATE_SLACK] marks a solution
@@ -232,6 +242,29 @@ def case_thresholds(params: ModelParams, x: StateDist) -> dict[str, float]:
     }
 
 
+def case_interval(params: ModelParams, x: StateDist,
+                  case: StrategyCase) -> tuple[float, float]:
+    """The kappa interval (lo, hi), ends included, on which case is valid at x.
+
+    lo > hi means the case is valid for no kappa.  Only the P or Q the
+    case needs is divided by; one at or below DENOMINATOR_FLOOR raises
+    DegenerateDenominator.
+    """
+    th = case_thresholds(params, x)
+    A, B = th["A"], th["B"]
+    if case is StrategyCase.PREFER_UNPROTECTED:
+        return max(A, B) / _check_denominator(th["Q"], "Q"), math.inf
+    if case is StrategyCase.PREFER_DEFENDED:
+        return -math.inf, min(A, B) / _check_denominator(th["P"], "P")
+    P = _check_denominator(th["P"], "P")
+    Q = _check_denominator(th["Q"], "Q")
+    if case is StrategyCase.DEFEND_SUSCEPTIBLE:
+        return A / P, B / Q
+    if case is StrategyCase.DEFEND_INFECTED:
+        return B / P, A / Q
+    raise ValueError(f"unknown case {case!r}")
+
+
 def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     """All valid case solutions at x, sorted by average cost.
 
@@ -362,69 +395,3 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         ))
 
     return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")))
-
-
-@dataclass(frozen=True)
-class LargeLambdaPrediction:
-    """Case set predicted by the lam -> infinity limits of the validity bands."""
-
-    cases: frozenset[StrategyCase]
-    window: float  # heuristic half-width of the unreliable kappa interval
-    thresholds: dict[str, float] = field(compare=False)
-    domain: Domain = Domain.BOUNDARY
-
-
-def large_lambda_classify(params: ModelParams, x: StateDist,
-                          kappa: float | None = None) -> LargeLambdaPrediction:
-    """Predict which cases are valid at x for large lam, given kappa.
-
-    In the limit the validity regions become, with s = alpha + q_rec_D and
-    r = beta + q_rec_U:
-
-        case i   : kappa >= max(delta, beta-alpha) / r
-        case ii  : kappa <= min(delta, beta-alpha) / s
-        case iii : delta/s <= kappa <= (beta-alpha)/r    (nonempty in D1)
-        case iv  : (beta-alpha)/s <= kappa <= delta/r    (nonempty in D2)
-
-    The prediction is only reliable for kappa outside a window of width
-    O(1/lam) around each threshold; the reported half-width max(rates)^2 /
-    lam is a heuristic, not a sharp bound.
-    """
-    if kappa is None:
-        kappa = params.kappa
-    alpha, beta = alpha_beta(params, x)
-    delta = params.delta
-    s = alpha + params.q_rec_D
-    r = beta + params.q_rec_U
-    gap = beta - alpha
-
-    thresholds = {
-        "case_i_min": max(delta, gap) / r,
-        "case_ii_max": min(delta, gap) / s,
-        "case_iii_min": delta / s,
-        "case_iii_max": gap / r,
-        "case_iv_min": gap / s,
-        "case_iv_max": delta / r,
-    }
-    cases = set()
-    if kappa >= thresholds["case_i_min"]:
-        cases.add(StrategyCase.PREFER_UNPROTECTED)
-    if kappa <= thresholds["case_ii_max"]:
-        cases.add(StrategyCase.PREFER_DEFENDED)
-    if thresholds["case_iii_min"] <= kappa <= thresholds["case_iii_max"]:
-        cases.add(StrategyCase.DEFEND_SUSCEPTIBLE)
-    if thresholds["case_iv_min"] <= kappa <= thresholds["case_iv_max"]:
-        cases.add(StrategyCase.DEFEND_INFECTED)
-
-    # heuristic window constant: square of the fastest non-switching rate
-    non_lam = max(params.q_rec_D, params.q_rec_U,
-                  params.q_inf_D * params.v_H, params.q_inf_U * params.v_H,
-                  params.beta_UU, params.beta_UD, params.beta_DU, params.beta_DD)
-    window = non_lam ** 2 / params.lam
-    return LargeLambdaPrediction(
-        cases=frozenset(cases),
-        window=window,
-        thresholds=thresholds,
-        domain=classify_domain(params, x).domain,
-    )
-

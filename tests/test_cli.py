@@ -270,9 +270,9 @@ GOLDEN_SHA256 = {
     ("thresholds", "json"):
         "82f9f302cc8a9897d6f82eada39ec5e974f0b96cc5d8ceb964ff13dbba46771e",
     ("sweep", "csv"):
-        "fa6e3df18ac284306d1f7b2d8327ca2b2f6d0679c1deaee1668e02632967cf17",
+        "928e38f2f43fc5d4b8829663ee5ac5495a100421d01c957c1b13aa6f1cde050f",
     ("sweep", "json"):
-        "0bc09c8dde2234a422d1a35b8f6dc465ff960fb503278a0a852ee90a20e7358f",
+        "77236cb15245672dd1af2bb389d24659340a4aebfdcbd01c062c5705e273afe7",
     ("simulate", "csv"):
         "ce5ec4b4cc8b9eca0d70fe41f0860253a3c15461f20a8f05d2c06224b7d73798",
     ("simulate", "json"):
@@ -318,6 +318,13 @@ class TestGolden:
         assert sha256(out) == (
             "0fd015cd19ba06eb50c8040ee7c7d61b18de2af56d82ba93c25d8436a32aada6")
 
+    def test_set_does_not_carry_over_to_the_next_call(self, config_path, capsys):
+        code, out, _ = run(capsys, "equilibria", "--config", config_path,
+                           "--set", "k_D=0.62")
+        assert code == 0 and out.count("\n") == 1
+        code, out, _ = run(capsys, "equilibria", "--config", config_path)
+        assert code == 0 and sha256(out) == GOLDEN_SHA256["equilibria", "csv"]
+
     def test_validate_json_sha256(self, capsys):
         code, out, _ = run(capsys, "validate", "--seed", "5", "--trials", "40",
                            "--format", "json")
@@ -330,6 +337,29 @@ class TestGolden:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4ab0d2399b2a483d4894f407652fb378a5671c5ecc65a1a099338b8e51292509")
+
+
+# no recovery while defended and no attacker pressure: alpha + q_rec_D
+# vanishes at the disease-free case-iii point that kappa_3 is taken at
+ZERO_RATES = ["--set", "q_rec_D=0", "--set", "v_H=0", "--set", "beta_UU=0.5",
+              "--set", "beta_DU=0.5", "--set", "beta_UD=0.5", "--set", "beta_DD=0.5",
+              "--set", "lambda=10"]
+
+
+class TestZeroRates:
+    def test_sweep_prints_rows(self, config_path, capsys):
+        code, out, err = run(capsys, "sweep", "--config", config_path, *ZERO_RATES,
+                             "--kappa-min", "0", "--kappa-max", "1", "--steps", "5")
+        assert code == 0 and not err
+        lines = out.strip().split("\n")
+        assert len(lines) == 6
+        assert lines[1] == "0.0,2,i+iii,0.0,0.0;0.0,true;true,true"
+        assert lines[-1] == "1.0,1,i,0.0,0.0,true,false"
+
+    def test_thresholds_reports_degenerate_rates(self, config_path, capsys):
+        code, out, err = run(capsys, "thresholds", "--config", config_path, *ZERO_RATES)
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "degenerate_rates"
 
 
 class TestDeterminism:

@@ -218,6 +218,14 @@ class TestSweep:
             assert [(r.kappa, r.count, r.cases, r.mu_values, r.stable)
                     for r in rows] == expected
 
+    def test_count_changes_only_between_flagged_rows(self, rng):
+        for params in self._sweep_params(rng):
+            rows = sweep_kappa(params, 0.0, 1.0, 200)
+            for a, b in zip(rows, rows[1:]):
+                if a.count != b.count:
+                    assert a.near_bifurcation and b.near_bifurcation, (params, a, b)
+            assert sum(r.near_bifurcation for r in rows) < len(rows) // 2
+
     def test_fixed_points_solved_once_per_sweep(self, rng, monkeypatch):
         calls = {"mixed": 0, "acyclic": 0}
 

@@ -1,17 +1,19 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from botnet_mfg import (
+    DegenerateDenominator,
     Domain,
     ModelParams,
     StateDist,
     StrategyCase,
     alpha_beta,
+    case_interval,
     classify_domain,
     enumerate_hjb,
-    large_lambda_classify,
     oracle_enumerate,
     solve_case,
 )
@@ -22,6 +24,7 @@ from botnet_mfg.hjb import (
     case_thresholds,
     control_attains_min,
 )
+from botnet_mfg.equilibrium import stationary_points
 from botnet_mfg.validation import _oracle_matches, random_params, random_state
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
@@ -229,38 +232,71 @@ class TestOracle:
             assert len(sols) <= 2
 
 
-class TestLargeLambda:
-    def test_equal_recovery_above_gap_threshold_is_case_i(self, rng):
-        for _ in range(200):
-            params = random_params(rng, lam=1e4, equal_recovery=True)
-            x = random_state(rng)
-            alpha, beta = alpha_beta(params, x)
-            if beta <= alpha:
-                continue
-            threshold = (beta - alpha) / (beta + params.q_rec_U)
-            pred = large_lambda_classify(params, x, kappa=threshold * 1.2)
-            assert pred.cases == frozenset({CASE_I})
-
-    def test_prediction_matches_enumeration_at_large_lambda(self, rng):
+class TestCaseInterval:
+    def test_membership_equals_validity_at_stationary_points(self, rng):
+        lams = (1.0, 10.0, 100.0, 1000.0, 2000.0)
+        kappas = np.linspace(0.0, 1.0, 200)
         checked = 0
+        for i in range(60):
+            params = random_params(rng, lam=lams[i % 5], equal_recovery=bool(i % 2))
+            for case, fp in stationary_points(params):
+                lo, hi = case_interval(params, fp.x, case)
+                for kappa in kappas:
+                    sol = solve_case(params.with_kappa(float(kappa)), fp.x, case)
+                    assert (lo <= kappa <= hi) == sol.valid, (params, case, kappa)
+                    checked += sol.valid
+        assert checked > 1000
+
+    def test_endpoints_converge_to_large_lambda_limits(self):
+        # A/P, B/Q, B/P, A/Q against delta/s, gap/r, gap/s, delta/r
+        lams = (10.0, 100.0, 1000.0, 10_000.0)
+        means = []
+        for lam in lams:
+            rng = np.random.default_rng(1005)  # same draws at every lam
+            dists = []
+            for _ in range(20):
+                params = random_params(rng, lam=lam)
+                x = random_state(rng)
+                alpha, beta = alpha_beta(params, x)
+                s, r = alpha + params.q_rec_D, beta + params.q_rec_U
+                gap, delta = beta - alpha, params.delta
+                exact = (*case_interval(params, x, CASE_III),
+                         *case_interval(params, x, CASE_IV))
+                limits = (delta / s, gap / r, gap / s, delta / r)
+                dists.append([abs(e - lim) for e, lim in zip(exact, limits)])
+            means.append(np.mean(dists, axis=0))
+        slopes = np.polyfit(np.log(lams), np.log(means), 1)[0]
+        assert np.all((-1.2 <= slopes) & (slopes <= -0.8)), slopes
+
+    def test_intervals_give_enumerated_cases_at_large_lambda(self, rng):
         for _ in range(1000):
             params = random_params(rng, lam=1e4)
             x = random_state(rng)
-            pred = large_lambda_classify(params, x)
-            margins = [abs(params.kappa - t) for t in pred.thresholds.values()]
-            if min(margins) <= pred.window:
-                continue
-            checked += 1
-            actual = {s.case for s in enumerate_hjb(params, x)}
-            assert actual == set(pred.cases), (params, x.as_tuple())
-        assert checked > 500
+            members = set()
+            for case in StrategyCase:
+                lo, hi = case_interval(params, x, case)
+                if lo <= params.kappa <= hi:
+                    members.add(case)
+            assert members == {s.case for s in enumerate_hjb(params, x)}
 
-    def test_vacuous_two_solution_branches(self, rng):
-        # the subdomain split never produces {i, ii} or {iii, iv} jointly:
-        # those bands are empty for every admissible parameter draw
-        for _ in range(500):
-            params = random_params(rng, lam=1e4)
+    def test_opposite_cases_never_share_an_interior(self, rng):
+        for _ in range(2000):
+            params = random_params(rng)
             x = random_state(rng)
-            pred = large_lambda_classify(params, x)
-            assert pred.cases != frozenset({CASE_I, CASE_II})
-            assert pred.cases != frozenset({CASE_III, CASE_IV})
+            bands = {case: case_interval(params, x, case) for case in StrategyCase}
+            for a, b in ((CASE_I, CASE_II), (CASE_III, CASE_IV)):
+                lo = max(bands[a][0], bands[b][0])
+                hi = min(bands[a][1], bands[b][1])
+                assert hi <= lo + 1e-12 * max(1.0, abs(lo)), (a, b, bands)
+
+    def test_degenerate_denominator_raises(self):
+        # no recovery and no pressure on a defended susceptible: P = 0 at DS
+        params = ModelParams(
+            q_rec_D=0.0, q_rec_U=1.0, q_inf_D=0.5, q_inf_U=1.0,
+            beta_UU=0.5, beta_UD=0.5, beta_DU=0.5, beta_DD=0.5,
+            lam=10.0, v_H=0.0, k_D=0.7, k_I=1.0)
+        x = StateDist(0.0, 1.0, 0.0, 0.0)
+        assert case_interval(params, x, CASE_I) == (0.0, math.inf)
+        for case in (CASE_II, CASE_III, CASE_IV):
+            with pytest.raises(DegenerateDenominator):
+                case_interval(params, x, case)
