@@ -40,6 +40,7 @@ from .model import (
     ControlVector,
     ModelParams,
     StateDist,
+    StrategyCase,
     integrate,
 )
 
@@ -193,20 +194,25 @@ def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) 
 def _resolve_control(params: ModelParams, x: StateDist,
                      current: ControlVector, notes: list[str],
                      t: float) -> tuple[ControlVector, float | None]:
-    """Myopic rule: adopt the control of the cheapest valid solution at x.
-
-    Exact cost ties keep the incumbent control (hysteresis).  If no case
-    is valid the incumbent is retained and the gap is noted.
+    """Myopic rule: keep the incumbent case while its exact kappa interval
+    at x (``hjb.case_interval``) holds kappa, else adopt the cheapest
+    holding case by (mu, label); only then are cases priced, for the switch
+    log's mu.  If no case holds the incumbent is retained and the gap is noted.
     """
-    solutions = hjb_mod.enumerate_hjb(params, x)
-    if not solutions:
+    intervals = {case: hjb_mod.case_interval(params, x, case) for case in StrategyCase}
+    holding = [case for case, (lo, hi) in intervals.items() if lo <= params.kappa <= hi]
+    if current.case in holding:
+        return current, None
+    priced = []
+    for case in holding:
+        try:
+            priced.append(hjb_mod.solve_case(params, x, case))
+        except hjb_mod.DegenerateDenominator:
+            continue
+    if not priced:
         notes.append(f"t={t!r}: no valid solution at x={x.as_tuple()!r}; control retained")
         return current, None
-    best = solutions[0]  # enumerate_hjb sorts by cost
-    if best.control != current and any(
-        s.control == current and s.mu <= best.mu + 1e-15 for s in solutions
-    ):
-        return current, best.mu  # tie: keep incumbent
+    best = min(priced, key=lambda s: (s.mu, s.case.label))
     return best.control, best.mu
 
 

@@ -30,6 +30,7 @@ from .model import (
 )
 
 EFFICIENCY_TIE_TOL = 1e-12
+Bracketed = tuple[StrategyCase, fp_mod.FixedPoint, float, float]
 
 
 class AssumptionViolation(ValueError):
@@ -83,22 +84,28 @@ def stationary_points(params: ModelParams) -> list[tuple[StrategyCase, fp_mod.Fi
     return [(case, fp) for case in StrategyCase for fp in _case_fixed_points(params, case)]
 
 
-def _rank_equilibria(params: ModelParams,
-                     points: list[tuple[StrategyCase, fp_mod.FixedPoint]]) -> list[Equilibrium]:
+def _bracketed_points(params: ModelParams) -> list[Bracketed]:
+    """Every stationary point with its case's exact kappa interval; neither depends on kappa."""
+    return [(case, fp, *hjb_mod.case_interval(params, fp.x, case))
+            for case, fp in stationary_points(params)]
+
+
+def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equilibrium]:
     """Equilibria at the kappa of ``params``, sorted by average cost.
 
-    Each stationary point is paired with its case's Bellman solution at
-    that point; the pair survives when the solution is valid there.  An
+    A bracketed point is an equilibrium when its interval holds kappa;
+    only those points are priced with their case's Bellman solution.  An
     empty list is a legal outcome inside a bifurcation gap.
     """
     found: list[tuple[StateDist, StrategyCase, hjb_mod.HjbSolution, fp_mod.FixedPoint]] = []
-    for case, fp in points:
+    for case, fp, lo, hi in points:
+        if not lo <= params.kappa <= hi:
+            continue
         try:
             sol = hjb_mod.solve_case(params, fp.x, case)
         except hjb_mod.DegenerateDenominator:
             continue
-        if sol.valid:
-            found.append((fp.x, case, sol, fp))
+        found.append((fp.x, case, sol, fp))
 
     if not found:
         return []
@@ -115,7 +122,7 @@ def _rank_equilibria(params: ModelParams,
 
 def solve_mfg(params: ModelParams) -> list[Equilibrium]:
     """All stationary equilibria, sorted by average cost."""
-    return _rank_equilibria(params, stationary_points(params))
+    return _rank_equilibria(params, _bracketed_points(params))
 
 
 def kappa_of(params: ModelParams, z: float) -> float:
@@ -260,26 +267,29 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
                 steps: int) -> list[SweepRow]:
     """Equilibrium structure along a kappa grid, k_I held fixed.
 
-    The stationary points do not depend on kappa, so they are solved once
-    per sweep; each grid point only re-solves the Bellman system at them.
-    Each point's equilibrium exists on the exact kappa interval of its
-    case there (``hjb.case_interval``); rows within one grid step of a
-    finite end of a non-empty interval are tagged near_bifurcation, so
-    the count never changes between two untagged neighbours (points whose
-    P or Q vanishes have no interval and are skipped).
+    The stationary points and their exact kappa intervals
+    (``hjb.case_interval``) do not depend on kappa, so they are found
+    once per sweep; each grid point only prices the points whose interval
+    holds it.  A row is tagged near_bifurcation when a finite end of a
+    non-empty interval lies between its two neighbours (one grid step,
+    kappa as membership sees it).  Membership changes only at those ends,
+    so the count never changes between two untagged neighbours.
     """
-    if not (0.0 <= kappa_min < kappa_max):
-        raise ValueError("need 0 <= kappa_min < kappa_max")
+    if not (0.0 <= kappa_min < kappa_max < math.inf):
+        raise ValueError("need finite 0 <= kappa_min < kappa_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    points = stationary_points(params)
-    ends = _interval_ends(params, points)
+    points = _bracketed_points(params)
+    ends = [end for _, _, lo, hi in points if lo <= hi
+            for end in (lo, hi) if math.isfinite(end)]
     step = (kappa_max - kappa_min) / (steps - 1)
+    kappas = np.linspace(kappa_min, kappa_max, steps).tolist()
+    grid = [params.with_kappa(kappa) for kappa in kappas]
+    edges = [grid[0].kappa - step, *(p.kappa for p in grid), grid[-1].kappa + step]
     rows = []
-    for kappa in np.linspace(kappa_min, kappa_max, steps):
-        kappa = float(kappa)
-        eqs = _rank_equilibria(params.with_kappa(kappa), points)
-        near = any(abs(kappa - end) <= step for end in ends)
+    for i, kappa in enumerate(kappas):
+        eqs = _rank_equilibria(grid[i], points)
+        near = any(edges[i] <= end <= edges[i + 2] for end in ends)
         rows.append(SweepRow(
             kappa=kappa,
             count=len(eqs),
@@ -289,17 +299,3 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
             near_bifurcation=near,
         ))
     return rows
-
-
-def _interval_ends(params: ModelParams,
-                   points: list[tuple[StrategyCase, fp_mod.FixedPoint]]) -> list[float]:
-    """Finite ends of the non-empty kappa intervals of the points' cases."""
-    ends = []
-    for case, fp in points:
-        try:
-            lo, hi = hjb_mod.case_interval(params, fp.x, case)
-        except hjb_mod.DegenerateDenominator:
-            continue
-        if lo <= hi:
-            ends += [end for end in (lo, hi) if math.isfinite(end)]
-    return ends

@@ -26,9 +26,11 @@ the validity regions in the cost ratio kappa = k_D/k_I are
     case iv  : kappa*Q <= A  and  kappa*P >= B
 
 B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
-decided by the domain D1/D2 of x.  P and Q are positive off degenerate
-rates, so each region is one closed interval in kappa, exact at every
-lam (``case_interval``):
+decided by the domain D1/D2 of x.  P and Q are never negative, so each
+region is one closed interval in kappa, exact at every lam and rate; these
+intervals (``case_interval``) alone decide whether a case holds, and
+``solve_case`` prices it.  An inequality whose P or Q vanishes holds for
+every kappa or for none; with P, Q > 0 the intervals are
 
     case i   : [max(A,B)/Q, inf)
     case ii  : (-inf, min(A,B)/P]
@@ -57,9 +59,9 @@ from .model import (
     alpha_beta,
 )
 
-# a slack inside [-DEGENERATE_SLACK, DEGENERATE_SLACK] marks a solution
-# valid-but-degenerate rather than excluding it; bifurcation scans hit
-# case boundaries exactly.
+# the slack sets only the reported valid/degenerate flags (a slack inside
+# [-DEGENERATE_SLACK, DEGENERATE_SLACK] is valid-but-degenerate); equilibria,
+# sweeps and the myopic rule decide validity from the exact case_interval.
 DEGENERATE_SLACK = 1e-9
 # closed-form denominators at or below this are treated as removable
 # singularities of the formulas
@@ -246,23 +248,29 @@ def case_interval(params: ModelParams, x: StateDist,
                   case: StrategyCase) -> tuple[float, float]:
     """The kappa interval (lo, hi), ends included, on which case is valid at x.
 
-    lo > hi means the case is valid for no kappa.  Only the P or Q the
-    case needs is divided by; one at or below DENOMINATOR_FLOOR raises
-    DegenerateDenominator.
+    Exact at every rate: an inequality kappa*d >= n or kappa*d <= n with
+    d = 0 holds for every kappa or for none, and then bounds kappa by an
+    infinity.  The case is valid for no finite kappa when lo > hi or an
+    end is infinite on the wrong side.
     """
     th = case_thresholds(params, x)
-    A, B = th["A"], th["B"]
+    A, B, P, Q = th["A"], th["B"], th["P"], th["Q"]
     if case is StrategyCase.PREFER_UNPROTECTED:
-        return max(A, B) / _check_denominator(th["Q"], "Q"), math.inf
+        return max(_least(A, Q), _least(B, Q)), math.inf
     if case is StrategyCase.PREFER_DEFENDED:
-        return -math.inf, min(A, B) / _check_denominator(th["P"], "P")
-    P = _check_denominator(th["P"], "P")
-    Q = _check_denominator(th["Q"], "Q")
+        return -math.inf, min(-_least(-A, P), -_least(-B, P))
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        return A / P, B / Q
+        return _least(A, P), -_least(-B, Q)
     if case is StrategyCase.DEFEND_INFECTED:
-        return B / P, A / Q
+        return _least(B, P), -_least(-A, Q)
     raise ValueError(f"unknown case {case!r}")
+
+
+def _least(n: float, d: float) -> float:
+    """Least kappa with kappa*d >= n, d >= 0; -_least(-n, d) is the greatest with <=."""
+    if d > 0.0:
+        return n / d
+    return -math.inf if n <= 0.0 else math.inf
 
 
 def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:

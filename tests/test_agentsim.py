@@ -11,22 +11,28 @@ from botnet_mfg import (
     SimConfig,
     StateDist,
     StrategyCase,
+    case_interval,
     compare_ode,
+    enumerate_hjb,
     kappa_thresholds,
     kinetic_rhs,
     simulate,
     simulate_myopic,
     solve_mfg,
 )
+from botnet_mfg import hjb
 from botnet_mfg.agentsim import (
     EVENT_MOVES,
+    _resolve_control,
     generator_drift,
     rate_table,
     replica_trajectories,
 )
-from botnet_mfg.validation import random_control, random_params
+from botnet_mfg.validation import random_control, random_params, random_state
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
+CASE_II = StrategyCase.PREFER_DEFENDED
+CASE_III = StrategyCase.DEFEND_SUSCEPTIBLE
 U_I = CASE_I.control
 U_OFF = ControlVector(0, 0, 0, 0)
 
@@ -235,6 +241,44 @@ class TestMyopic:
         traj = simulate_myopic(params, cfg)
         assert traj.cases is not None
         assert len(traj.cases) == len(traj.times)
+
+
+class TestMyopicDecision:
+    def test_adopts_cheapest_enumerated_solution(self, rng):
+        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
+        compared = switched = 0
+        while compared < 2000:
+            params = random_params(rng, lam=lams[compared % 5])
+            x = random_state(rng)
+            incumbent = random_control(rng)
+            solutions = enumerate_hjb(params, x)
+            if not solutions or any(s.degenerate for s in solutions):
+                continue
+            best = solutions[0]
+            control, mu = _resolve_control(params, x, incumbent, [], 0.0)
+            assert control == best.control, (params, x, incumbent)
+            if control != incumbent:
+                assert mu == best.mu, (params, x, incumbent)
+                switched += 1
+            compared += 1
+        assert switched > 1000
+
+    def test_shared_end_keeps_incumbent(self):
+        # kappa = A/P is the upper end of case ii and the lower end of case iii
+        base = replace(GAP_PARAMS, q_rec_D=1.5)
+        x = StateDist(0.3, 0.3, 0.2, 0.2)
+        th = hjb.case_thresholds(base, x)
+        params = base.with_kappa(th["A"] / th["P"])
+        intervals = {case: case_interval(params, x, case) for case in StrategyCase}
+        holding = {case for case, (lo, hi) in intervals.items() if lo <= params.kappa <= hi}
+        assert holding == {CASE_II, CASE_III}
+        for case in (CASE_II, CASE_III):
+            notes = []
+            assert _resolve_control(params, x, case.control, notes, 0.0)[0] == case.control
+            assert not notes
+        best = min((hjb.solve_case(params, x, case) for case in (CASE_II, CASE_III)),
+                   key=lambda s: (s.mu, s.case.label))
+        assert _resolve_control(params, x, CASE_I.control, [], 0.0) == (best.control, best.mu)
 
 
 def _simulate_csv(traj):

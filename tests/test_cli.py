@@ -229,6 +229,14 @@ class TestBadInputs:
         assert code == 1 and not out
         assert json.loads(err)["error"] == "invalid_sim_config"
 
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_sweep_rejects_non_finite_kappa_max(self, bound, config_path, capsys):
+        code, out, err = run(capsys, "sweep", "--config", config_path,
+                             "--kappa-min", "0", "--kappa-max", bound, "--steps", "5")
+        assert code == 1 and not out
+        assert json.loads(err) == {"error": "invalid_sweep",
+                                   "detail": "need finite 0 <= kappa_min < kappa_max"}
+
     def test_validate_rejects_negative_seed(self, capsys):
         code, out, err = run(capsys, "validate", "--seed", "-1", "--trials", "5")
         assert code == 1 and not out

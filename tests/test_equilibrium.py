@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from botnet_mfg import (
     solve_mfg,
     sweep_kappa,
 )
-from botnet_mfg import fixedpoint
+from botnet_mfg import fixedpoint, hjb
 from botnet_mfg.cli import records_to_csv
 from botnet_mfg.equilibrium import (
     SWEEP_CSV_FIELDS,
@@ -219,7 +221,12 @@ class TestSweep:
                     for r in rows] == expected
 
     def test_count_changes_only_between_flagged_rows(self, rng):
-        for params in self._sweep_params(rng):
+        # README rates with zero rates: P or Q vanishes at some stationary
+        # points, or an interval ends exactly on the last grid point
+        readme = regime_one_params(lam=10.0)
+        zero_rate = [replace(readme, q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
+                     replace(readme, q_rec_U=0.0, v_H=0.0, beta_UD=0.0)]
+        for params in self._sweep_params(rng) + zero_rate:
             rows = sweep_kappa(params, 0.0, 1.0, 200)
             for a, b in zip(rows, rows[1:]):
                 if a.count != b.count:
@@ -247,6 +254,21 @@ class TestSweep:
                 counts.append(dict(calls))
             assert counts[0] == counts[1]
             assert counts[0]["mixed"] >= 2 and counts[0]["acyclic"] >= 2
+
+    def test_only_equilibria_are_priced(self, monkeypatch):
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solve(*args, **kwargs)
+
+        solve = hjb.solve_case
+        monkeypatch.setattr(hjb, "solve_case", counting)
+        for params in (regime_one_params(), regime_two_params()):
+            calls = 0
+            rows = sweep_kappa(params, 0.0, 1.0, 200)
+            assert calls == sum(row.count for row in rows) > 0
 
     def test_csv_header_and_shape(self):
         params = regime_one_params(lam=500.0)

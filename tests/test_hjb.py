@@ -289,14 +289,25 @@ class TestCaseInterval:
                 hi = min(bands[a][1], bands[b][1])
                 assert hi <= lo + 1e-12 * max(1.0, abs(lo)), (a, b, bands)
 
-    def test_degenerate_denominator_raises(self):
-        # no recovery and no pressure on a defended susceptible: P = 0 at DS
+    def test_zero_denominator_gives_exact_intervals(self):
+        # no recovery and no pressure on a defended susceptible: P = 0 at DS,
+        # so each inequality on P holds for every kappa or for none
         params = ModelParams(
             q_rec_D=0.0, q_rec_U=1.0, q_inf_D=0.5, q_inf_U=1.0,
             beta_UU=0.5, beta_UD=0.5, beta_DU=0.5, beta_DD=0.5,
             lam=10.0, v_H=0.0, k_D=0.7, k_I=1.0)
         x = StateDist(0.0, 1.0, 0.0, 0.0)
-        assert case_interval(params, x, CASE_I) == (0.0, math.inf)
-        for case in (CASE_II, CASE_III, CASE_IV):
-            with pytest.raises(DegenerateDenominator):
-                case_interval(params, x, case)
+        expected = {CASE_I: (0.0, math.inf), CASE_II: (-math.inf, -math.inf),
+                    CASE_III: (-math.inf, 0.0), CASE_IV: (-math.inf, -1.0)}
+        checked = 0
+        for case, interval in expected.items():
+            lo, hi = case_interval(params, x, case)
+            assert (lo, hi) == interval, case
+            for kappa in (0.0, 0.25, 1.0):
+                try:
+                    sol = solve_case(params.with_kappa(kappa), x, case)
+                except DegenerateDenominator:
+                    continue
+                assert (lo <= kappa <= hi) == sol.valid, (case, kappa)
+                checked += 1
+        assert checked > 0
