@@ -22,9 +22,17 @@ right-hand side.
 
 Waiting times are exponential with the total rate; the jump channel is
 drawn proportionally to the rates (the classical direct stochastic
-simulation algorithm).  Randomness comes from a 64-bit PCG64 generator;
-each replica uses its own stream seeded with base_seed + replica_index,
-so runs are reproducible bit for bit.
+simulation algorithm).  The channel walk visits only the channels whose
+coefficient is nonzero under the current control: every other rate is
+0.0 at every state and would never move the cumulative sum.  The uniform
+for the walk is the top 53 bits of the generator's next raw word, the
+same number ``Generator.random()`` returns.  Randomness comes from a
+64-bit PCG64 generator; each replica uses its own stream seeded with
+base_seed + replica_index, so runs are reproducible bit for bit.
+
+``compare_ode`` integrates the kinetic ODE once per distinct starting
+row and sample grid among the trajectories it is given, so the replicas
+of one configuration share a single solve.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ EVENT_MOVES: tuple[tuple[int, int], ...] = (
 )
 
 MYOPIC = "myopic"
+# head-counts (n_DI, n_DS, n_UI, n_US) -> (ten channel rates, their total)
+RateTable = Callable[[int, int, int, int], tuple[tuple[float, ...], float]]
+_UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +164,7 @@ class Trajectory:
 
 
 def rate_table(params: ModelParams, n_agents: int,
-               u: ControlVector) -> Callable[..., tuple[tuple[float, ...], float]]:
+               u: ControlVector) -> RateTable:
     """The ten channel rates of an n_agents population under control u.
 
     Returns a function of the head-counts (n_DI, n_DS, n_UI, n_US) that
@@ -199,10 +210,11 @@ def _resolve_control(params: ModelParams, x: StateDist,
     holding case by (mu, label); only then are cases priced, for the switch
     log's mu.  If no case holds the incumbent is retained and the gap is noted.
     """
-    intervals = {case: hjb_mod.case_interval(params, x, case) for case in StrategyCase}
-    holding = [case for case, (lo, hi) in intervals.items() if lo <= params.kappa <= hi]
-    if current.case in holding:
+    incumbent = current.case
+    if incumbent is not None and _holds(params, x, incumbent):
         return current, None
+    holding = [case for case in StrategyCase
+               if case is not incumbent and _holds(params, x, case)]
     priced = []
     for case in holding:
         try:
@@ -214,6 +226,11 @@ def _resolve_control(params: ModelParams, x: StateDist,
         return current, None
     best = min(priced, key=lambda s: (s.mu, s.case.label))
     return best.control, best.mu
+
+
+def _holds(params: ModelParams, x: StateDist, case: StrategyCase) -> bool:
+    lo, hi = hjb_mod.case_interval(params, x, case)
+    return lo <= params.kappa <= hi
 
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
@@ -228,7 +245,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             params, _dist_of(counts4, n), ControlVector(0, 0, 0, 0), notes, 0.0)
     else:
         control = cfg.policy  # type: ignore[assignment]
-    table = rate_table(params, n, control)
+    table, active = _channels(params, n, control)
 
     n_samples = math.floor(cfg.horizon / cfg.sample_interval + 1e-9)
     sample_times = [i * cfg.sample_interval for i in range(n_samples + 1)]
@@ -241,7 +258,8 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     per_event = myopic and cfg.myopic_recompute == "event"
     per_sample = myopic and not per_event
     exponential = rng.exponential
-    random = rng.random
+    # Generator.random() of PCG64 is the top 53 bits of the next raw word
+    random_raw = rng.bit_generator.random_raw
 
     # sampling instants interrupt the exponential clock; redrawing the
     # waiting time afterwards is exact because the clock is memoryless
@@ -259,24 +277,19 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             next_sample += 1
             recompute = per_sample
         else:
-            # execute the jump at t_event; zero-rate channels add exactly
-            # nothing to the cumulative sum, so the walk matches `total`
+            # execute the jump at t_event; the skipped channels are 0.0 at
+            # every state, and a zero rate never moves `acc`, so the walk
+            # picks the channel a walk over all ten would pick
             t = t_event
-            draw = random() * total
+            draw = (random_raw() >> 11) * _UNIT * total
             acc = 0.0
-            chosen = -1
-            last_positive = -1
-            for k in range(10):
-                r = rates[k]
-                if r > 0.0:
-                    last_positive = k
-                    acc += r
-                    if draw < acc:
-                        chosen = k
-                        break
-            if chosen < 0:
-                chosen = last_positive  # draw rounded up to the total
-            src, dst = EVENT_MOVES[chosen]
+            for k in active:
+                acc += rates[k]
+                if draw < acc:
+                    break
+            else:  # draw rounded up to the total
+                k = next(j for j in reversed(active) if rates[j] > 0.0)
+            src, dst = EVENT_MOVES[k]
             counts4[src] -= 1
             counts4[dst] += 1
             recompute = per_event
@@ -288,7 +301,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
                 switches.append(SwitchEvent(t, _case_label(control),
                                             _case_label(new_control), mu))
                 control = new_control
-                table = rate_table(params, n, control)
+                table, active = _channels(params, n, control)
 
     return Trajectory(
         times=np.array(times),
@@ -297,6 +310,19 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
         switches=switches,
         notes=notes,
     )
+
+
+def _channels(params: ModelParams, n_agents: int,
+              u: ControlVector) -> tuple[RateTable, tuple[int, ...]]:
+    """The rate table under u and the channels it can make positive.
+
+    Each rate is a head-count times a nonnegative coefficient (a sum of two
+    such for contact), so a channel that is 0.0 with one agent in every
+    state is 0.0 at every state.
+    """
+    table = rate_table(params, n_agents, u)
+    rates, _ = table(1, 1, 1, 1)
+    return table, tuple(k for k, r in enumerate(rates) if r > 0.0)
 
 
 def _dist_of(counts: list[int], n: int) -> StateDist:
@@ -347,35 +373,43 @@ def compare_ode(params: ModelParams,
 
     Integrates the ODE from each trajectory's own starting state, lands
     exactly on the sample times, and takes the sup over samples of the
-    max-component deviation.  Mean and standard deviation are over
-    replicas.
+    max-component deviation.  Replicas with the same starting row and the
+    same sample times share one ODE solve within a call.  Mean and
+    standard deviation are over replicas.
     """
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
     if not trajectories:
         raise ValueError("need at least one trajectory")
+    paths: dict[tuple[bytes, bytes], np.ndarray] = {}
     devs = []
     for traj in trajectories:
-        devs.append(_sup_deviation(params, traj, u))
+        if len(traj.times) < 2:
+            devs.append(0.0)
+            continue
+        key = (traj.states[0].tobytes(), traj.times.tobytes())
+        if key not in paths:
+            paths[key] = _ode_states(params, traj, u)
+        devs.append(float(np.max(np.abs(paths[key] - traj.states))))
     arr = np.array(devs)
     return DeviationStats(mean=float(arr.mean()),
                           std=float(arr.std(ddof=1)) if len(devs) > 1 else 0.0,
                           per_replica=tuple(devs))
 
 
-def _sup_deviation(params: ModelParams, traj: Trajectory, u: ControlVector) -> float:
-    if len(traj.times) < 2:
-        return 0.0
+def _ode_states(params: ModelParams, traj: Trajectory, u: ControlVector) -> np.ndarray:
+    """The kinetic solution from traj's first row at each of its sample times:
+    ``substeps`` RK4 steps per sample interval, (samples - 1) * substeps in all."""
     dt = float(traj.times[1] - traj.times[0])
     horizon = float(traj.times[-1])
-    ode_step = min(dt, 1e-2 / params.max_rate())
-    substeps = max(1, math.ceil(dt / ode_step))
-    x0 = traj.dist_at(0)
-    path = integrate(params, x0, u, horizon, step=dt / substeps, sample_every=substeps)
-    ode_states = np.array([state.as_array() for _, state in path])
-    if len(ode_states) != len(traj.times):
-        raise RuntimeError("ODE sampling misaligned with trajectory samples")
-    return float(np.max(np.abs(ode_states - traj.states)))
+    substeps = max(1, math.ceil(dt / min(dt, 1e-2 / params.max_rate())))
+    n_steps = (len(traj.times) - 1) * substeps
+    # integrate takes ceil(horizon / step) steps of horizon / that count;
+    # ceil(horizon / (horizon / n_steps)) can round one past n_steps, so
+    # pass a step strictly between horizon / n_steps and horizon / (n_steps - 1)
+    path = integrate(params, traj.dist_at(0), u, horizon,
+                     step=horizon / (n_steps - 0.5), sample_every=substeps)
+    return np.array([state.as_array() for _, state in path])
 
 
 def replica_trajectories(params: ModelParams, cfg: SimConfig,

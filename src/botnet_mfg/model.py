@@ -412,42 +412,34 @@ def integrate(
         return trajectory
 
     n_steps = max(1, math.ceil(horizon / step))
-    h_nominal = horizon / n_steps
-    state = x0.as_tuple()
+    h = horizon / n_steps
+    half = 0.5 * h
+    sixth = h / 6.0
+    rhs = _rhs_components
+    a, b, c, d = x0.as_tuple()
     for i in range(n_steps):
-        state = _rk4_step(params, state, u, h_nominal)
-        state = _project_simplex(state)
-        t = (i + 1) * h_nominal
+        # classical RK4 on four scalars
+        k1a, k1b, k1c, k1d = rhs(params, a, b, c, d, u)
+        k2a, k2b, k2c, k2d = rhs(params, a + half * k1a, b + half * k1b,
+                                 c + half * k1c, d + half * k1d, u)
+        k3a, k3b, k3c, k3d = rhs(params, a + half * k2a, b + half * k2b,
+                                 c + half * k2c, d + half * k2d, u)
+        k4a, k4b, k4c, k4d = rhs(params, a + h * k3a, b + h * k3b,
+                                 c + h * k3c, d + h * k3d, u)
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        # clip onto the simplex and renormalize
+        if min(a, b, c, d) < -1e-6:
+            raise StepTooLarge(
+                f"integration state left the simplex: {(a, b, c, d)}; shrink the step")
+        a, b, c, d = max(a, 0.0), max(b, 0.0), max(c, 0.0), max(d, 0.0)
+        total = math.fsum((a, b, c, d))
+        a, b, c, d = a / total, b / total, c / total, d / total
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            trajectory.append((t, StateDist(*state)))
+            trajectory.append(((i + 1) * h, StateDist(a, b, c, d)))
     return trajectory
-
-
-def _rk4_step(
-    params: ModelParams,
-    state: tuple[float, float, float, float],
-    u: ControlVector,
-    h: float,
-) -> tuple[float, float, float, float]:
-    k1 = _rhs_components(params, *state, u)
-    s2 = tuple(state[j] + 0.5 * h * k1[j] for j in range(4))
-    k2 = _rhs_components(params, *s2, u)
-    s3 = tuple(state[j] + 0.5 * h * k2[j] for j in range(4))
-    k3 = _rhs_components(params, *s3, u)
-    s4 = tuple(state[j] + h * k3[j] for j in range(4))
-    k4 = _rhs_components(params, *s4, u)
-    return tuple(
-        state[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        for j in range(4)
-    )
-
-
-def _project_simplex(state: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    if min(state) < -1e-6:
-        raise StepTooLarge(f"integration state left the simplex: {state}; shrink the step")
-    clipped = tuple(max(c, 0.0) for c in state)
-    total = math.fsum(clipped)
-    return tuple(c / total for c in clipped)
 
 
 def classify_domain(params: ModelParams, x: StateDist) -> DomainInfo:

@@ -20,9 +20,11 @@ from botnet_mfg import (
     simulate_myopic,
     solve_mfg,
 )
-from botnet_mfg import hjb
+from botnet_mfg import agentsim, hjb
 from botnet_mfg.agentsim import (
     EVENT_MOVES,
+    _UNIT,
+    _channels,
     _resolve_control,
     generator_drift,
     rate_table,
@@ -96,6 +98,35 @@ class TestEventRates:
             for r in rates:
                 acc += r
             assert total == acc
+
+    def test_skipped_channels_are_zero_at_every_state(self, rng):
+        zeroable = ("q_rec_D", "q_rec_U", "v_H", "beta_UU", "beta_UD", "beta_DU", "beta_DD")
+        for _ in range(500):
+            params = random_params(rng)
+            params = replace(params, **{k: 0.0 for k in zeroable if rng.random() < 0.3})
+            n = int(rng.integers(1, 200))
+            table, active = _channels(params, n, random_control(rng))
+            for _ in range(5):
+                counts = [int(v) for v in rng.multinomial(n, [0.25] * 4)]
+                rates, total = table(*counts)
+                assert all(rates[k] == 0.0 for k in range(10) if k not in active)
+                acc = 0.0
+                for k in active:
+                    acc += rates[k]
+                assert acc == total
+
+    def test_raw_word_uniform_is_generator_random(self):
+        # the simulator's jump draw against Generator.random() on a twin
+        # stream, interleaved with the waiting-time draws
+        ref = np.random.Generator(np.random.PCG64(2024))
+        rng = np.random.Generator(np.random.PCG64(2024))
+        random_raw = rng.bit_generator.random_raw
+        expected, got = [], []
+        for i in range(100_000):
+            scale = 1.0 / (1 + i % 97)
+            expected.append((ref.exponential(scale), ref.random()))
+            got.append((rng.exponential(scale), (random_raw() >> 11) * _UNIT))
+        assert got == expected
 
     def test_generator_identity(self, rng):
         for _ in range(2000):
@@ -184,6 +215,45 @@ class TestCompareOde:
         assert stats.mean == pytest.approx(np.mean(stats.per_replica))
         assert stats.std == pytest.approx(np.std(stats.per_replica, ddof=1))
 
+    def test_one_ode_solve_per_distinct_start(self, monkeypatch):
+        params = sim_params()
+        cfg = SimConfig(n_agents=200, horizon=2.0, seed=40, policy=U_I,
+                        sample_interval=0.25, initial=StateDist(0.0, 0.0, 0.3, 0.7))
+        same = replica_trajectories(params, cfg, 5)
+        other = replica_trajectories(
+            params, replace(cfg, initial=StateDist(0.1, 0.1, 0.3, 0.5)), 2)
+        singles = [compare_ode(params, traj, U_I).per_replica[0] for traj in same + other]
+        calls = []
+        real = agentsim.integrate
+        monkeypatch.setattr(agentsim, "integrate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert compare_ode(params, same, U_I).per_replica == tuple(singles[:5])
+        assert len(calls) == 1
+        calls.clear()
+        assert compare_ode(params, same[:2] + other, U_I).per_replica == tuple(
+            singles[:2] + singles[5:])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sample_interval, horizon", [
+        (0.13, 2.0), (0.17, 1.0), (0.55, 8.0), (0.65, 2.0), (1.1, 8.0)])
+    def test_ode_lands_on_every_sample(self, monkeypatch, sample_interval, horizon):
+        # ceil(horizon / step) rounds one step past the grid on these
+        params = sim_params()  # the kinetic_limit benchmark rates
+        cfg = SimConfig(n_agents=50, horizon=horizon, seed=1, policy=U_I,
+                        sample_interval=sample_interval,
+                        initial=StateDist(0.0, 0.0, 0.3, 0.7))
+        traj = simulate(params, cfg)
+        paths = []
+        real = agentsim.integrate
+        monkeypatch.setattr(agentsim, "integrate",
+                            lambda *a, **k: paths.append(real(*a, **k)) or paths[-1])
+        stats = compare_ode(params, traj, U_I)
+        (path,) = paths
+        assert len(path) == len(traj.times)
+        assert np.allclose([t for t, _ in path], traj.times, rtol=0.0, atol=1e-12)
+        ode = np.array([state.as_array() for _, state in path])
+        assert stats.mean == float(np.max(np.abs(ode - traj.states)))
+
     def test_deviation_shrinks_with_population(self):
         params = sim_params()
         devs = []
@@ -262,6 +332,25 @@ class TestMyopicDecision:
                 switched += 1
             compared += 1
         assert switched > 1000
+
+    def test_kept_decision_prices_one_case(self, rng, monkeypatch):
+        calls = []
+        real = hjb.case_thresholds
+        monkeypatch.setattr(hjb, "case_thresholds",
+                            lambda p, x: calls.append(x) or real(p, x))
+        kept = 0
+        while kept < 200:
+            params = random_params(rng, lam=20.0)
+            x = random_state(rng)
+            for case in StrategyCase:
+                lo, hi = case_interval(params, x, case)
+                if lo <= params.kappa <= hi:
+                    calls.clear()
+                    notes = []
+                    assert _resolve_control(params, x, case.control, notes, 0.0) == (
+                        case.control, None)
+                    assert len(calls) == 1 and not notes
+                    kept += 1
 
     def test_shared_end_keeps_incumbent(self):
         # kappa = A/P is the upper end of case ii and the lower end of case iii

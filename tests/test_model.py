@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from botnet_mfg import (
     ControlVector,
     Domain,
     InvalidSimplex,
+    StepTooLarge,
     ModelParams,
     StateDist,
     StrategyCase,
@@ -236,13 +238,49 @@ class TestIntegrate:
                       StrategyCase.PREFER_UNPROTECTED.control, horizon=1.0, step=-1.0)
 
     def test_oversized_step_raises(self, base_params):
-        from botnet_mfg import StepTooLarge
-
         # a full-unit step against the fast switching drain overshoots hard
         start = StateDist(0.9, 0.05, 0.02, 0.03)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge) as err:
             integrate(base_params, start, StrategyCase.PREFER_UNPROTECTED.control,
                       horizon=2.0, step=1.0)
+        assert str(err.value) == (
+            "integration state left the simplex: (954.2179610113518, -677.7679610113519, "
+            "-1122.739342253738, 847.289342253738); shrink the step")
+
+
+def _path_bytes(path):
+    return "".join(",".join(repr(float(v)) for v in (t, *state.as_tuple())) + "\n"
+                   for t, state in path).encode()
+
+
+class TestIntegrateGolden:
+    """Byte-pinned RK4 samples at the default step: every strategy case at a
+    slow and a fast switching rate, sampling every step and every 7th."""
+
+    @pytest.mark.parametrize("label, lam, horizon, every, samples, digest", [
+        ("i", 5.0, 1.0, 1, 501, "970a059678c1932c216a9d2cb78b4c614561ba47e78700b911257457421c14a9"),
+        ("i", 5.0, 1.0, 7, 73, "e84a71a009973187f47122f136a0edfdc86ec041b7901238b00f68f5e1b163b5"),
+        ("i", 2000.0, 0.01, 1, 2001, "53d944449022f72f0cdca542d91490ede4c3541566516309c5368eee1fb48a53"),
+        ("i", 2000.0, 0.01, 7, 287, "25a158011747a068ca5441c50811c1e702c23b8bceead5144562efe663bf8249"),
+        ("ii", 5.0, 1.0, 1, 501, "2efdc203b3aaf81afe7d3dfedcae7cacbcf8702e03c878f8c23ac6ae5530f575"),
+        ("ii", 5.0, 1.0, 7, 73, "3d41890ee4cb14f6faac6bbe16f377fda76b89389a42abf75b9e2a52d33458cd"),
+        ("ii", 2000.0, 0.01, 1, 2001, "1e5af84fafe438cf86dfa21222992c7a66371a5f23e142aad4e154f251861947"),
+        ("ii", 2000.0, 0.01, 7, 287, "54f253b4c941b2b90cdae02e8fa379ba17e5ca93108d71d19cbfa9388c53580d"),
+        ("iii", 5.0, 1.0, 1, 501, "14db685e39949eef0b778e5c4ce44d7719728174439c0ae7cba8b56f3afe2826"),
+        ("iii", 5.0, 1.0, 7, 73, "e8c2391b47b04fb75bc7b37ff0ec862ad207177c43afb192cbc94e7b5e828fdc"),
+        ("iii", 2000.0, 0.01, 1, 2001, "c6af0aa87f9e1cfc837aa63f62be7521c742de06fcae145cb7230abd82b87063"),
+        ("iii", 2000.0, 0.01, 7, 287, "30c6814aad234726d4f0548f00a4cc362160eeaf09e84be1f458ce61ae6ba28b"),
+        ("iv", 5.0, 1.0, 1, 501, "2ac7868dde3f635c7b6819d1e0a2cfd3d97953d5726f49ccd8609fa3c9fd0ce6"),
+        ("iv", 5.0, 1.0, 7, 73, "4a26e848dbfeb7bfc147fc9e5444310a66d1e02f004d08fa49daa578a721187e"),
+        ("iv", 2000.0, 0.01, 1, 2001, "744bd9ce767573a3069118f4e6d0e096662c65e323bd0d299223e2682e05769c"),
+        ("iv", 2000.0, 0.01, 7, 287, "6a0d6e1e0e982914f65627e90ee432e925fd432b774692024dc6cb37d48330bc"),
+    ])
+    def test_integrate_sha256(self, base_params, label, lam, horizon, every, samples, digest):
+        control = StrategyCase.from_label(label).control
+        path = integrate(replace(base_params, lam=lam), StateDist(0.3, 0.3, 0.2, 0.2),
+                         control, horizon, sample_every=every)
+        assert len(path) == samples
+        assert hashlib.sha256(_path_bytes(path)).hexdigest() == digest
 
 
 class TestClassifyDomain:
