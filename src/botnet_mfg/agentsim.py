@@ -30,6 +30,12 @@ same number ``Generator.random()`` returns.  Randomness comes from a
 64-bit PCG64 generator; each replica uses its own stream seeded with
 base_seed + replica_index, so runs are reproducible bit for bit.
 
+In myopic mode a kept decision is read from the head-counts: the
+incumbent's exact kappa interval is computed on the fractions c/n divided
+by their fsum, the floats a ``StateDist`` of them stores.  Only when it
+fails does ``_resolve_control`` build a ``StateDist`` and price the
+holding cases with ``solve_case``.
+
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
 row and sample grid among the trajectories it is given, so the replicas
 of one configuration share a single solve.
@@ -49,6 +55,7 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
+    _alpha_beta,
     integrate,
 )
 
@@ -209,6 +216,10 @@ def _resolve_control(params: ModelParams, x: StateDist,
     at x (``hjb.case_interval``) holds kappa, else adopt the cheapest
     holding case by (mu, label); only then are cases priced, for the switch
     log's mu.  If no case holds the incumbent is retained and the gap is noted.
+
+    The simulator tests a kept incumbent itself, from the head-counts
+    (``_holds_at_counts``), and calls this only when there is no incumbent
+    or its interval fails, so every call here ends in a switch or a note.
     """
     incumbent = current.case
     if incumbent is not None and _holds(params, x, incumbent):
@@ -233,6 +244,20 @@ def _holds(params: ModelParams, x: StateDist, case: StrategyCase) -> bool:
     return lo <= params.kappa <= hi
 
 
+def _holds_at_counts(params: ModelParams, counts: list[int], n: int,
+                     case: StrategyCase) -> bool:
+    """``_holds`` at ``_dist_of(counts, n)``, on raw floats.
+
+    StateDist divides the fractions c/n by their fsum, which is not always
+    1.0 on the lattice, so the same division gives the floats it stores.
+    """
+    f_DI, f_DS, f_UI, f_US = counts[0] / n, counts[1] / n, counts[2] / n, counts[3] / n
+    total = math.fsum((f_DI, f_DS, f_UI, f_US))
+    alpha, beta = _alpha_beta(params, f_DI / total, f_UI / total)
+    lo, hi = hjb_mod._interval(case, *hjb_mod._thresholds(params, alpha, beta))
+    return lo <= params.kappa <= hi
+
+
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     counts4 = list(cfg.initial_counts().as_tuple())
@@ -245,6 +270,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             params, _dist_of(counts4, n), ControlVector(0, 0, 0, 0), notes, 0.0)
     else:
         control = cfg.policy  # type: ignore[assignment]
+    case = control.case
     table, active = _channels(params, n, control)
 
     n_samples = math.floor(cfg.horizon / cfg.sample_interval + 1e-9)
@@ -294,13 +320,16 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             counts4[dst] += 1
             recompute = per_event
 
-        if recompute:
+        # a kept incumbent is read from the counts; the full rule, with its
+        # StateDist, runs only when there is none or its interval fails
+        if recompute and (case is None or not _holds_at_counts(params, counts4, n, case)):
             new_control, mu = _resolve_control(
                 params, _dist_of(counts4, n), control, notes, t)
-            if new_control != control and mu is not None:
+            if mu is not None:  # a switch to a case other than the incumbent
                 switches.append(SwitchEvent(t, _case_label(control),
                                             _case_label(new_control), mu))
                 control = new_control
+                case = control.case
                 table, active = _channels(params, n, control)
 
     return Trajectory(

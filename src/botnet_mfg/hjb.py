@@ -234,14 +234,17 @@ def control_attains_min(sol: HjbSolution, tol: float = DEGENERATE_SLACK) -> bool
 
 def case_thresholds(params: ModelParams, x: StateDist) -> dict[str, float]:
     """The four quantities A, B, P, Q deciding case validity at x."""
-    alpha, beta = alpha_beta(params, x)
+    return dict(zip("ABPQ", _thresholds(params, *alpha_beta(params, x))))
+
+
+def _thresholds(params: ModelParams, alpha: float,
+                beta: float) -> tuple[float, float, float, float]:
+    """(A, B, P, Q) at the effective rates alpha, beta."""
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
-    return {
-        "A": (beta + lam) * q_D - (alpha + lam) * q_U,
-        "B": beta * (lam + q_D) - alpha * (lam + q_U),
-        "P": (alpha + q_D) * (beta + q_U + lam),
-        "Q": (alpha + q_D + lam) * (beta + q_U),
-    }
+    return ((beta + lam) * q_D - (alpha + lam) * q_U,
+            beta * (lam + q_D) - alpha * (lam + q_U),
+            (alpha + q_D) * (beta + q_U + lam),
+            (alpha + q_D + lam) * (beta + q_U))
 
 
 def case_interval(params: ModelParams, x: StateDist,
@@ -254,7 +257,12 @@ def case_interval(params: ModelParams, x: StateDist,
     end is infinite on the wrong side.
     """
     th = case_thresholds(params, x)
-    A, B, P, Q = th["A"], th["B"], th["P"], th["Q"]
+    return _interval(case, th["A"], th["B"], th["P"], th["Q"])
+
+
+def _interval(case: StrategyCase, A: float, B: float, P: float,
+              Q: float) -> tuple[float, float]:
+    """case_interval from the thresholds A, B, P, Q."""
     if case is StrategyCase.PREFER_UNPROTECTED:
         return max(_least(A, Q), _least(B, Q)), math.inf
     if case is StrategyCase.PREFER_DEFENDED:

@@ -300,9 +300,14 @@ class EffectiveRates(NamedTuple):
 
 def alpha_beta(params: ModelParams, x: StateDist) -> EffectiveRates:
     """Effective infection intensities seen by defended / unprotected targets."""
-    alpha = params.q_inf_D * params.v_H + x.x_DI * params.beta_DD + x.x_UI * params.beta_UD
-    beta = params.q_inf_U * params.v_H + x.x_DI * params.beta_DU + x.x_UI * params.beta_UU
-    return EffectiveRates(alpha, beta)
+    return EffectiveRates(*_alpha_beta(params, x.x_DI, x.x_UI))
+
+
+def _alpha_beta(params: ModelParams, x_DI: float, x_UI: float) -> tuple[float, float]:
+    """alpha_beta on the two infected fractions, as raw floats."""
+    alpha = params.q_inf_D * params.v_H + x_DI * params.beta_DD + x_UI * params.beta_UD
+    beta = params.q_inf_U * params.v_H + x_DI * params.beta_DU + x_UI * params.beta_UU
+    return alpha, beta
 
 
 def _rhs_components(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,9 @@ from botnet_mfg.agentsim import (
     EVENT_MOVES,
     _UNIT,
     _channels,
+    _dist_of,
+    _holds,
+    _holds_at_counts,
     _resolve_control,
     generator_drift,
     rate_table,
@@ -370,6 +374,79 @@ class TestMyopicDecision:
         assert _resolve_control(params, x, CASE_I.control, [], 0.0) == (best.control, best.mu)
 
 
+LATTICE_SIZES = (3, 7, 100, 2499, 2500, 10_000)
+
+
+def _lattice_counts(rng, n):
+    """Head-counts (n_DI, n_DS, n_UI, n_US) summing to n, as Python ints."""
+    return [int(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(4)))]
+
+
+class TestKeptDecisionFromCounts:
+    """The per-event test of the incumbent reads the head-counts directly."""
+
+    def test_lattice_fractions_are_statedist_floats(self, rng, monkeypatch):
+        seen = []
+        real = agentsim._alpha_beta
+        monkeypatch.setattr(agentsim, "_alpha_beta",
+                            lambda p, x_DI, x_UI: seen.append((x_DI, x_UI)) or real(p, x_DI, x_UI))
+        params = GAP_PARAMS
+        off_one = 0
+        for n in LATTICE_SIZES:
+            for _ in range(500):
+                counts = _lattice_counts(rng, n)
+                seen.clear()
+                _holds_at_counts(params, counts, n, CASE_I)
+                x = StateDist(*(c / n for c in counts))
+                assert [(a.hex(), b.hex()) for a, b in seen] == [
+                    (x.x_DI.hex(), x.x_UI.hex())], (n, counts)
+                off_one += math.fsum(c / n for c in counts) != 1.0
+        assert off_one > 0
+
+    def test_agrees_with_holds_at_the_statedist(self, rng):
+        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
+        zero_denominators = at_end = 0
+        for k in range(2000):
+            params = random_params(rng, lam=lams[k % 5])
+            n = LATTICE_SIZES[k % len(LATTICE_SIZES)]
+            counts = _lattice_counts(rng, n)
+            while k % 4 == 1 and n >= 100 and math.fsum(c / n for c in counts) == 1.0:
+                # off the float simplex only the division by the fsum gives x
+                counts = _lattice_counts(rng, n)
+            if k % 4 == 3:
+                # no infected agents: P = 0 under the first rates, Q = 0
+                # under the second, so _least returns an infinity
+                zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0) if k % 8 == 3
+                        else dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0))
+                params = replace(params, **zero)
+                counts = [0, counts[0] + counts[1], 0, counts[2] + counts[3]]
+            case = list(StrategyCase)[rng.integers(4)]
+            x = _dist_of(counts, n)
+            th = hjb.case_thresholds(params, x)
+            zero_denominators += th["P"] == 0.0 or th["Q"] == 0.0
+            ends = [end for end in case_interval(params, x, case)
+                    if math.isfinite(end) and end >= 0.0]
+            if ends and k % 2:
+                # kappa on an end of the interval: one ulp of x decides
+                params = params.with_kappa(ends[rng.integers(len(ends))])
+                at_end += 1
+            assert _holds_at_counts(params, counts, n, case) == _holds(params, x, case), (
+                params, counts, case)
+        assert zero_denominators > 100 and at_end > 500
+
+    def test_full_rule_runs_only_on_a_switch_or_a_note(self, monkeypatch):
+        calls = []
+        real = agentsim._resolve_control
+        monkeypatch.setattr(agentsim, "_resolve_control",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = SimConfig(n_agents=200, horizon=4.0, seed=2024, policy="myopic",
+                        sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2),
+                        myopic_recompute="event")
+        traj = simulate_myopic(GAP_PARAMS, cfg)
+        assert traj.switches
+        assert len(calls) == 1 + len(traj.switches) + len(traj.notes)
+
+
 def _simulate_csv(traj):
     """The bytes of `botnet-mfg simulate` CSV for one replica, followed by
     the `--switch-log` CSV."""
@@ -411,3 +488,13 @@ class TestGolden:
         traj = run(params, cfg)
         assert len(traj.switches) == switches
         assert hashlib.sha256(_simulate_csv(traj)).hexdigest() == digest
+
+    def test_benchmark_myopic_config_sha256(self):
+        # the per-event myopic_feedback configuration, over its first second
+        cfg = SimConfig(n_agents=2500, horizon=1.0, seed=1, policy="myopic",
+                        sample_interval=0.5, initial=StateDist(0.3, 0.3, 0.2, 0.2),
+                        myopic_recompute="event")
+        traj = simulate_myopic(GAP_PARAMS, cfg)
+        assert len(traj.switches) == 44
+        assert hashlib.sha256(_simulate_csv(traj)).hexdigest() == (
+            "bec009906387b9ec61122a4eb8c612719dd55609bad9c5bc2c7977e004552bd3")
