@@ -30,11 +30,11 @@ same number ``Generator.random()`` returns.  Randomness comes from a
 64-bit PCG64 generator; each replica uses its own stream seeded with
 base_seed + replica_index, so runs are reproducible bit for bit.
 
-In myopic mode a kept decision is read from the head-counts: the
-incumbent's exact kappa interval is computed on the fractions c/n divided
-by their fsum, the floats a ``StateDist`` of them stores.  Only when it
-fails does ``_resolve_control`` build a ``StateDist`` and price the
-holding cases with ``solve_case``.
+In myopic mode one rule, ``_resolve_control``, decides from the
+head-counts: the exact kappa intervals are computed on the fractions c/n
+divided by their fsum, the floats a ``StateDist`` of them stores.  A
+``StateDist`` is built only when the incumbent's interval fails, to price
+the holding cases with ``solve_case``.
 
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
 row and sample grid among the trajectories it is given, so the replicas
@@ -135,6 +135,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.horizon / self.sample_interval):
+            raise ValueError("horizon / sample_interval overflows")
         if isinstance(self.policy, str) and self.policy != MYOPIC:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.myopic_recompute not in ("interval", "event"):
@@ -209,53 +211,41 @@ def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) 
     return drift / n
 
 
-def _resolve_control(params: ModelParams, x: StateDist,
-                     current: ControlVector, notes: list[str],
-                     t: float) -> tuple[ControlVector, float | None]:
-    """Myopic rule: keep the incumbent case while its exact kappa interval
-    at x (``hjb.case_interval``) holds kappa, else adopt the cheapest
-    holding case by (mu, label); only then are cases priced, for the switch
-    log's mu.  If no case holds the incumbent is retained and the gap is noted.
+def _resolve_control(params: ModelParams, counts: list[int], n: int,
+                     incumbent: StrategyCase | None, notes: list[str],
+                     t: float) -> hjb_mod.HjbSolution | None:
+    """Myopic rule at the head-counts: None keeps the incumbent, a solution
+    is the switch.
 
-    The simulator tests a kept incumbent itself, from the head-counts
-    (``_holds_at_counts``), and calls this only when there is no incumbent
-    or its interval fails, so every call here ends in a switch or a note.
-    """
-    incumbent = current.case
-    if incumbent is not None and _holds(params, x, incumbent):
-        return current, None
-    holding = [case for case in StrategyCase
-               if case is not incumbent and _holds(params, x, case)]
-    priced = []
-    for case in holding:
-        try:
-            priced.append(hjb_mod.solve_case(params, x, case))
-        except hjb_mod.DegenerateDenominator:
-            continue
-    if not priced:
-        notes.append(f"t={t!r}: no valid solution at x={x.as_tuple()!r}; control retained")
-        return current, None
-    best = min(priced, key=lambda s: (s.mu, s.case.label))
-    return best.control, best.mu
-
-
-def _holds(params: ModelParams, x: StateDist, case: StrategyCase) -> bool:
-    lo, hi = hjb_mod.case_interval(params, x, case)
-    return lo <= params.kappa <= hi
-
-
-def _holds_at_counts(params: ModelParams, counts: list[int], n: int,
-                     case: StrategyCase) -> bool:
-    """``_holds`` at ``_dist_of(counts, n)``, on raw floats.
-
-    StateDist divides the fractions c/n by their fsum, which is not always
-    1.0 on the lattice, so the same division gives the floats it stores.
+    The intervals (``hjb.case_interval``) are taken at the fractions c/n
+    divided by their fsum, which is not always 1.0 on the lattice: the
+    floats a ``StateDist`` of them stores.  While the incumbent's interval
+    holds kappa nothing is built or priced.  Otherwise every holding case
+    is priced at ``_dist_of(counts, n)`` and the cheapest by (mu, label) is
+    adopted; if none holds the control is retained and the gap is noted.
     """
     f_DI, f_DS, f_UI, f_US = counts[0] / n, counts[1] / n, counts[2] / n, counts[3] / n
     total = math.fsum((f_DI, f_DS, f_UI, f_US))
     alpha, beta = _alpha_beta(params, f_DI / total, f_UI / total)
-    lo, hi = hjb_mod._interval(case, *hjb_mod._thresholds(params, alpha, beta))
-    return lo <= params.kappa <= hi
+    A, B, P, Q = hjb_mod._thresholds(params, alpha, beta)
+    kappa = params.kappa
+    if incumbent is not None:
+        lo, hi = hjb_mod._interval(incumbent, A, B, P, Q)
+        if lo <= kappa <= hi:
+            return None
+    x = _dist_of(counts, n)
+    priced = []
+    for case in StrategyCase:
+        lo, hi = hjb_mod._interval(case, A, B, P, Q)
+        if lo <= kappa <= hi:
+            try:
+                priced.append(hjb_mod.solve_case(params, x, case))
+            except hjb_mod.DegenerateDenominator:
+                continue
+    if not priced:
+        notes.append(f"t={t!r}: no valid solution at x={x.as_tuple()!r}; control retained")
+        return None
+    return min(priced, key=lambda s: (s.mu, s.case.label))
 
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
@@ -266,8 +256,8 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     notes: list[str] = []
     switches: list[SwitchEvent] = []
     if myopic:
-        control, _ = _resolve_control(
-            params, _dist_of(counts4, n), ControlVector(0, 0, 0, 0), notes, 0.0)
+        sol = _resolve_control(params, counts4, n, None, notes, 0.0)
+        control = sol.control if sol is not None else ControlVector(0, 0, 0, 0)
     else:
         control = cfg.policy  # type: ignore[assignment]
     case = control.case
@@ -320,16 +310,11 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             counts4[dst] += 1
             recompute = per_event
 
-        # a kept incumbent is read from the counts; the full rule, with its
-        # StateDist, runs only when there is none or its interval fails
-        if recompute and (case is None or not _holds_at_counts(params, counts4, n, case)):
-            new_control, mu = _resolve_control(
-                params, _dist_of(counts4, n), control, notes, t)
-            if mu is not None:  # a switch to a case other than the incumbent
-                switches.append(SwitchEvent(t, _case_label(control),
-                                            _case_label(new_control), mu))
-                control = new_control
-                case = control.case
+        if recompute:
+            sol = _resolve_control(params, counts4, n, case, notes, t)
+            if sol is not None:
+                switches.append(SwitchEvent(t, _case_label(control), sol.case.label, sol.mu))
+                control, case = sol.control, sol.case
                 table, active = _channels(params, n, control)
 
     return Trajectory(

@@ -27,14 +27,12 @@ from botnet_mfg.agentsim import (
     _UNIT,
     _channels,
     _dist_of,
-    _holds,
-    _holds_at_counts,
     _resolve_control,
     generator_drift,
     rate_table,
     replica_trajectories,
 )
-from botnet_mfg.validation import random_control, random_params, random_state
+from botnet_mfg.validation import random_control, random_params
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
 CASE_II = StrategyCase.PREFER_DEFENDED
@@ -317,63 +315,6 @@ class TestMyopic:
         assert len(traj.cases) == len(traj.times)
 
 
-class TestMyopicDecision:
-    def test_adopts_cheapest_enumerated_solution(self, rng):
-        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
-        compared = switched = 0
-        while compared < 2000:
-            params = random_params(rng, lam=lams[compared % 5])
-            x = random_state(rng)
-            incumbent = random_control(rng)
-            solutions = enumerate_hjb(params, x)
-            if not solutions or any(s.degenerate for s in solutions):
-                continue
-            best = solutions[0]
-            control, mu = _resolve_control(params, x, incumbent, [], 0.0)
-            assert control == best.control, (params, x, incumbent)
-            if control != incumbent:
-                assert mu == best.mu, (params, x, incumbent)
-                switched += 1
-            compared += 1
-        assert switched > 1000
-
-    def test_kept_decision_prices_one_case(self, rng, monkeypatch):
-        calls = []
-        real = hjb.case_thresholds
-        monkeypatch.setattr(hjb, "case_thresholds",
-                            lambda p, x: calls.append(x) or real(p, x))
-        kept = 0
-        while kept < 200:
-            params = random_params(rng, lam=20.0)
-            x = random_state(rng)
-            for case in StrategyCase:
-                lo, hi = case_interval(params, x, case)
-                if lo <= params.kappa <= hi:
-                    calls.clear()
-                    notes = []
-                    assert _resolve_control(params, x, case.control, notes, 0.0) == (
-                        case.control, None)
-                    assert len(calls) == 1 and not notes
-                    kept += 1
-
-    def test_shared_end_keeps_incumbent(self):
-        # kappa = A/P is the upper end of case ii and the lower end of case iii
-        base = replace(GAP_PARAMS, q_rec_D=1.5)
-        x = StateDist(0.3, 0.3, 0.2, 0.2)
-        th = hjb.case_thresholds(base, x)
-        params = base.with_kappa(th["A"] / th["P"])
-        intervals = {case: case_interval(params, x, case) for case in StrategyCase}
-        holding = {case for case, (lo, hi) in intervals.items() if lo <= params.kappa <= hi}
-        assert holding == {CASE_II, CASE_III}
-        for case in (CASE_II, CASE_III):
-            notes = []
-            assert _resolve_control(params, x, case.control, notes, 0.0)[0] == case.control
-            assert not notes
-        best = min((hjb.solve_case(params, x, case) for case in (CASE_II, CASE_III)),
-                   key=lambda s: (s.mu, s.case.label))
-        assert _resolve_control(params, x, CASE_I.control, [], 0.0) == (best.control, best.mu)
-
-
 LATTICE_SIZES = (3, 7, 100, 2499, 2500, 10_000)
 
 
@@ -382,8 +323,80 @@ def _lattice_counts(rng, n):
     return [int(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(4)))]
 
 
+def _interval_holds(params, counts, n, case):
+    """The public reference: case_interval at the StateDist of the counts."""
+    lo, hi = case_interval(params, _dist_of(counts, n), case)
+    return lo <= params.kappa <= hi
+
+
+class TestMyopicDecision:
+    def test_adopts_cheapest_enumerated_solution(self, rng):
+        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
+        compared = switched = 0
+        while compared < 2000:
+            params = random_params(rng, lam=lams[compared % 5])
+            n = LATTICE_SIZES[compared % len(LATTICE_SIZES)]
+            counts = _lattice_counts(rng, n)
+            incumbent = random_control(rng).case
+            solutions = enumerate_hjb(params, _dist_of(counts, n))
+            if not solutions or any(s.degenerate for s in solutions):
+                continue
+            best = solutions[0]
+            notes = []
+            sol = _resolve_control(params, counts, n, incumbent, notes, 0.0)
+            if sol is None:
+                assert incumbent is best.case, (params, counts, incumbent)
+            else:
+                assert (sol.control, sol.mu) == (best.control, best.mu), (
+                    params, counts, incumbent)
+                switched += 1
+            assert not notes
+            compared += 1
+        assert switched > 1000
+
+    def test_kept_decision_prices_nothing(self, rng, monkeypatch):
+        calls = []
+        real_solve = hjb.solve_case
+        monkeypatch.setattr(agentsim, "_dist_of",
+                            lambda *args: calls.append(args) or _dist_of(*args))
+        monkeypatch.setattr(hjb, "solve_case",
+                            lambda *args: calls.append(args) or real_solve(*args))
+        kept = 0
+        while kept < 200:
+            params = random_params(rng, lam=20.0)
+            n = LATTICE_SIZES[kept % len(LATTICE_SIZES)]
+            counts = _lattice_counts(rng, n)
+            for case in StrategyCase:
+                if _interval_holds(params, counts, n, case):
+                    calls.clear()
+                    notes = []
+                    assert _resolve_control(params, counts, n, case, notes, 0.0) is None
+                    assert not calls and not notes
+                    kept += 1
+
+    def test_shared_end_keeps_incumbent(self):
+        # kappa = A/P is the upper end of case ii and the lower end of case iii
+        counts, n = [3, 3, 2, 2], 10
+        x = _dist_of(counts, n)
+        assert x == StateDist(0.3, 0.3, 0.2, 0.2)
+        base = replace(GAP_PARAMS, q_rec_D=1.5)
+        th = hjb.case_thresholds(base, x)
+        params = base.with_kappa(th["A"] / th["P"])
+        holding = {case for case in StrategyCase
+                   if _interval_holds(params, counts, n, case)}
+        assert holding == {CASE_II, CASE_III}
+        for case in (CASE_II, CASE_III):
+            notes = []
+            assert _resolve_control(params, counts, n, case, notes, 0.0) is None
+            assert not notes
+        best = min((hjb.solve_case(params, x, case) for case in (CASE_II, CASE_III)),
+                   key=lambda s: (s.mu, s.case.label))
+        sol = _resolve_control(params, counts, n, CASE_I, [], 0.0)
+        assert (sol.control, sol.mu) == (best.control, best.mu)
+
+
 class TestKeptDecisionFromCounts:
-    """The per-event test of the incumbent reads the head-counts directly."""
+    """The myopic rule reads the head-counts directly."""
 
     def test_lattice_fractions_are_statedist_floats(self, rng, monkeypatch):
         seen = []
@@ -396,7 +409,7 @@ class TestKeptDecisionFromCounts:
             for _ in range(500):
                 counts = _lattice_counts(rng, n)
                 seen.clear()
-                _holds_at_counts(params, counts, n, CASE_I)
+                _resolve_control(params, counts, n, CASE_I, [], 0.0)
                 x = StateDist(*(c / n for c in counts))
                 assert [(a.hex(), b.hex()) for a, b in seen] == [
                     (x.x_DI.hex(), x.x_UI.hex())], (n, counts)
@@ -430,15 +443,15 @@ class TestKeptDecisionFromCounts:
                 # kappa on an end of the interval: one ulp of x decides
                 params = params.with_kappa(ends[rng.integers(len(ends))])
                 at_end += 1
-            assert _holds_at_counts(params, counts, n, case) == _holds(params, x, case), (
-                params, counts, case)
+            notes = []
+            kept = _resolve_control(params, counts, n, case, notes, 0.0) is None and not notes
+            assert kept == _interval_holds(params, counts, n, case), (params, counts, case)
         assert zero_denominators > 100 and at_end > 500
 
     def test_full_rule_runs_only_on_a_switch_or_a_note(self, monkeypatch):
         calls = []
-        real = agentsim._resolve_control
-        monkeypatch.setattr(agentsim, "_resolve_control",
-                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(agentsim, "_dist_of",
+                            lambda *args: calls.append(args) or _dist_of(*args))
         cfg = SimConfig(n_agents=200, horizon=4.0, seed=2024, policy="myopic",
                         sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2),
                         myopic_recompute="event")

@@ -222,7 +222,9 @@ class TestBadInputs:
         ["--seed", "-1", "--horizon", "1.0"],
         ["--seed", "5", "--horizon", "inf"],
         ["--seed", "5", "--horizon", "1.0", "--sample-interval", "nan"],
-    ], ids=["negative-seed", "infinite-horizon", "nan-sample-interval"])
+        ["--seed", "5", "--horizon", "1e308", "--sample-interval", "1e-10"],
+    ], ids=["negative-seed", "infinite-horizon", "nan-sample-interval",
+            "overflowing-sample-count"])
     def test_simulate_rejects(self, flags, config_path, capsys):
         code, out, err = run(capsys, "simulate", "--config", config_path,
                              *SIMULATE, *flags)
