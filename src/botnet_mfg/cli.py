@@ -6,7 +6,8 @@
     botnet-mfg thresholds   --config params.cfg
     botnet-mfg sweep        --config params.cfg --kappa-min A --kappa-max B --steps N
     botnet-mfg simulate     --config params.cfg --x ... --n-agents N --horizon T \
-                            --seed S --policy fixed:i
+                            --seed S --policy fixed:i|myopic \
+                            [--myopic-recompute interval|event]
     botnet-mfg validate     --seed S --trials N
 
 Parameters come from a flat key=value config file (see ModelParams), with
@@ -93,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--switch-log", metavar="PATH",
                    help="also write the myopic control-change log as CSV")
+    p.add_argument("--myopic-recompute", metavar="{interval,event}",
+                   help="when the myopic policy re-decides: at every sample "
+                        "time (interval, the default) or after every event")
 
     p = sub.add_parser("validate", help="randomized oracle and invariant suite")
     add_common(p, needs_params=False)
@@ -248,12 +252,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     myopic = policy == agentsim.MYOPIC
     if args.switch_log and not myopic:
         raise CliError("invalid_policy", "--switch-log needs --policy myopic")
+    recompute = args.myopic_recompute
+    if recompute is not None and not myopic:
+        raise CliError("invalid_policy", "--myopic-recompute needs --policy myopic")
     if args.replicas < 1:
         raise CliError("invalid_replicas", "--replicas must be >= 1")
     try:
         cfg = agentsim.SimConfig(
             n_agents=args.n_agents, horizon=args.horizon, seed=args.seed,
-            policy=policy, sample_interval=args.sample_interval, initial=x0)
+            policy=policy, sample_interval=args.sample_interval, initial=x0,
+            myopic_recompute="interval" if recompute is None else recompute)
     except ValueError as exc:
         raise CliError("invalid_sim_config", str(exc)) from exc
     trajectories = agentsim.replica_trajectories(params, cfg, args.replicas)

@@ -11,7 +11,9 @@ reduce to a quartic in x_DI whose roots on [0, 1] are isolated exactly:
 the critical points, found recursively, cut [0, 1] into monotone pieces,
 each bisected and Newton-polished; for large lam they collapse back to a
 quadratic of the same shape.  Case iv is the mirror image of case iii
-under the relabeling that swaps the defended and unprotected sides.
+under the relabeling that swaps the defended and unprotected sides: it
+reuses the case-iii states of the relabeled problem, swapped back.  A
+spectrum is computed only for a point that is returned.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    CASE_CONTROLS,
     STATE_FIELDS,
     ControlVector,
     ModelParams,
     StateDist,
     StrategyCase,
+    _rhs_components,
     kinetic_jacobian,
-    kinetic_rhs,
 )
 
 BISECT_TOL = 1e-13
@@ -130,19 +133,40 @@ def mixed_quartic_coeffs(params: ModelParams) -> np.ndarray:
     den = np.array([params.q_rec_U, -params.beta_UU])             # D(y)
     num = np.array([0.0, params.q_inf_U * v_H + lam, params.beta_DU])  # N(y)
     # susceptible-defended mass times D: D*(1 - 2y) - N
-    t1 = np.polynomial.polynomial.polysub(
-        np.polynomial.polynomial.polymul(den, np.array([1.0, -2.0])), num)
+    t1 = _polyadd(_polymul(den, np.array([1.0, -2.0])), -num)
     # infection intensity on DS times D: (q_inf_D*v_H + beta_DD*y)*D + beta_UD*N
-    t2 = np.polynomial.polynomial.polyadd(
-        np.polynomial.polynomial.polymul(np.array([params.q_inf_D * v_H, params.beta_DD]), den),
-        params.beta_UD * num)
-    loss = (params.q_rec_D + lam) * np.polynomial.polynomial.polymul(
-        np.array([0.0, 1.0]), np.polynomial.polynomial.polymul(den, den))
-    poly = np.polynomial.polynomial.polysub(
-        np.polynomial.polynomial.polymul(t1, t2), loss)
+    t2 = _polyadd(_polymul(np.array([params.q_inf_D * v_H, params.beta_DD]), den),
+                  params.beta_UD * num)
+    loss = (params.q_rec_D + lam) * _polymul(np.array([0.0, 1.0]), _polymul(den, den))
+    poly = _polyadd(_polymul(t1, t2), -loss)
     out = np.zeros(5)
     out[: len(poly)] = poly
     return out
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zero coefficients, keeping at least one."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """np.polynomial.polynomial.polymul on float arrays: the same trims and
+    the same convolution, without its input conversion."""
+    return _trim(np.convolve(_trim(c1), _trim(c2)))
+
+
+def _polyadd(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """np.polynomial.polynomial.polyadd on float arrays; polysub(c1, c2)
+    is _polyadd(c1, -c2), bit for bit."""
+    c1, c2 = _trim(c1), _trim(c2)
+    if len(c1) < len(c2):
+        c1, c2 = c2, c1
+    out = c1.copy()
+    out[: len(c2)] += c2
+    return _trim(out)
 
 
 def reconstruct_mixed_state(params: ModelParams, x_DI: float) -> StateDist:
@@ -227,29 +251,33 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
     """All stationary points of a mixed case at finite lam.
 
     Case iii isolates every root of the quartic on [0, 1] exactly (see
-    bracket_roots); case iv solves the relabeled case-iii problem and
-    swaps the coordinates back.  Roots that cannot be reconstructed into a
-    simplex point (including those at the back-substitution pole) are
-    discarded, as are reconstructions whose kinetic residual exceeds the
-    fixed-point tolerance.
+    bracket_roots); case iv takes the case-iii states of the relabeled
+    problem and swaps their coordinates back.  Roots that cannot be
+    reconstructed into a simplex point (including those at the
+    back-substitution pole) are discarded, as are reconstructions whose
+    kinetic residual exceeds the fixed-point tolerance; the spectrum is
+    computed only for the states kept.
     """
+    if case is StrategyCase.DEFEND_SUSCEPTIBLE:
+        return [_point(params, x, case, "quartic_numeric") for x in _case_iii_states(params)]
     if case is StrategyCase.DEFEND_INFECTED:
-        mirrored = fixed_point_mixed(_swap_du(params), StrategyCase.DEFEND_SUSCEPTIBLE)
-        return [_point(params, _swap_state(fp.x), case, "quartic_numeric", fp.interior)
-                for fp in mirrored]
-    if case is not StrategyCase.DEFEND_SUSCEPTIBLE:
-        raise ValueError(f"{case} is not a mixed case")
+        return [_point(params, _swap_state(x), case, "quartic_numeric")
+                for x in _case_iii_states(_swap_du(params))]
+    raise ValueError(f"{case} is not a mixed case")
 
-    points: list[FixedPoint] = []
+
+def _case_iii_states(params: ModelParams) -> list[StateDist]:
+    """The reconstructed case-iii states whose kinetic residual passes."""
+    control = CASE_CONTROLS[StrategyCase.DEFEND_SUSCEPTIBLE]
+    states: list[StateDist] = []
     for root in bracket_roots(mixed_quartic_coeffs(params)):
         try:
             x = reconstruct_mixed_state(params, root)
         except (DenominatorPole, ValueError):
             continue
-        fp = _point(params, x, case, "quartic_numeric")
-        if fixed_point_residual(params, fp) <= RESIDUAL_TOL:
-            points.append(fp)
-    return points
+        if _residual(params, x, control) <= RESIDUAL_TOL:
+            states.append(x)
+    return states
 
 
 def fixed_point_mixed_asymptotic(params: ModelParams, case: StrategyCase) -> FixedPoint:
@@ -292,40 +320,37 @@ def reduced_jacobian(params: ModelParams, x: StateDist, u: ControlVector,
     """
     full = kinetic_jacobian(params, x, u)
     keep = [i for i in range(4) if i != eliminated]
-    red = np.empty((3, 3))
-    for a, i in enumerate(keep):
-        for b, k in enumerate(keep):
-            red[a, b] = full[i, k] - full[i, eliminated]
-    return red
+    return full[np.ix_(keep, keep)] - full[keep, eliminated][:, None]
 
 
 def _point(params: ModelParams, x: StateDist, case: StrategyCase, method: str,
            interior: bool = True) -> FixedPoint:
     """The fixed point at x with its eigenvalues and stability filled in."""
-    return stability(params, FixedPoint(x, case, (0j, 0j, 0j), False, method, interior))
+    eigs, stable = stability(params, x, case)
+    return FixedPoint(x, case, eigs, stable, method, interior)
 
 
-def stability(params: ModelParams, fp: FixedPoint) -> FixedPoint:
-    """Fill eigenvalues and the stability flag of a fixed point.
+def stability(params: ModelParams, x: StateDist,
+              case: StrategyCase) -> tuple[tuple[complex, complex, complex], bool]:
+    """Eigenvalues, sorted by (real, imag), and the stability flag at x.
 
     Acyclic cases use the exact closed-form spectrum (one eigenvalue is
     exactly -lam); mixed cases take the roots of the cubic characteristic
     polynomial of the reduced Jacobian.
     """
-    if fp.case is StrategyCase.PREFER_UNPROTECTED and fp.x.x_DI == 0.0 and fp.x.x_DS == 0.0:
+    if case is StrategyCase.PREFER_UNPROTECTED and x.x_DI == 0.0 and x.x_DS == 0.0:
         eigs = _acyclic_eigs(
-            fp.x.x_UI, params.beta_UU, params.q_rec_U, params.q_inf_U * params.v_H,
+            x.x_UI, params.beta_UU, params.q_rec_U, params.q_inf_U * params.v_H,
             params.q_rec_D, params.q_inf_D * params.v_H, params.beta_UD, params.lam)
-    elif fp.case is StrategyCase.PREFER_DEFENDED and fp.x.x_UI == 0.0 and fp.x.x_US == 0.0:
+    elif case is StrategyCase.PREFER_DEFENDED and x.x_UI == 0.0 and x.x_US == 0.0:
         eigs = _acyclic_eigs(
-            fp.x.x_DI, params.beta_DD, params.q_rec_D, params.q_inf_D * params.v_H,
+            x.x_DI, params.beta_DD, params.q_rec_D, params.q_inf_D * params.v_H,
             params.q_rec_U, params.q_inf_U * params.v_H, params.beta_DU, params.lam)
     else:
-        red = reduced_jacobian(params, fp.x, fp.case.control, _ELIMINATED[fp.case])
+        red = reduced_jacobian(params, x, case.control, _ELIMINATED[case])
         eigs = _cubic_eigs(red)
     eigs = tuple(sorted(eigs, key=lambda z: (z.real, z.imag)))
-    stable = all(z.real < STABLE_EIG_TOL for z in eigs)
-    return replace(fp, eigenvalues=eigs, stable=stable)
+    return eigs, all(z.real < STABLE_EIG_TOL for z in eigs)
 
 
 def _acyclic_eigs(root: float, contact: float, recovery: float, direct: float,
@@ -354,10 +379,22 @@ def _cubic_eigs(m: np.ndarray) -> tuple[complex, ...]:
         + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     )
     det = float(np.linalg.det(m))
-    roots = np.roots([1.0, -tr, minors, -det])
+    if det == 0.0:
+        # np.roots splits off the root at zero
+        roots = np.roots([1.0, -tr, minors, -det])
+    else:
+        # the companion matrix np.roots builds for x^3 - tr*x^2 + minors*x - det
+        roots = np.linalg.eigvals(np.array([[tr, -minors, det],
+                                            [1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0]]))
     return tuple(complex(z) for z in roots)
 
 
 def fixed_point_residual(params: ModelParams, fp: FixedPoint) -> float:
-    """Sup-norm of the kinetic right-hand side at the point."""
-    return float(np.max(np.abs(kinetic_rhs(params, fp.x, fp.case.control))))
+    """Sup-norm of the kinetic right-hand side at the point (NaN if any part is)."""
+    return _residual(params, fp.x, fp.case.control)
+
+
+def _residual(params: ModelParams, x: StateDist, control: ControlVector) -> float:
+    comps = [abs(v) for v in _rhs_components(params, x.x_DI, x.x_DS, x.x_UI, x.x_US, control)]
+    return math.nan if any(v != v for v in comps) else max(comps)

@@ -56,6 +56,7 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
+    _alpha_beta,
     alpha_beta,
 )
 
@@ -232,11 +233,6 @@ def control_attains_min(sol: HjbSolution, tol: float = DEGENERATE_SLACK) -> bool
     return True
 
 
-def case_thresholds(params: ModelParams, x: StateDist) -> dict[str, float]:
-    """The four quantities A, B, P, Q deciding case validity at x."""
-    return dict(zip("ABPQ", _thresholds(params, *alpha_beta(params, x))))
-
-
 def _thresholds(params: ModelParams, alpha: float,
                 beta: float) -> tuple[float, float, float, float]:
     """(A, B, P, Q) at the effective rates alpha, beta."""
@@ -256,8 +252,7 @@ def case_interval(params: ModelParams, x: StateDist,
     infinity.  The case is valid for no finite kappa when lo > hi or an
     end is infinite on the wrong side.
     """
-    th = case_thresholds(params, x)
-    return _interval(case, th["A"], th["B"], th["P"], th["Q"])
+    return _interval(case, *_thresholds(params, *_alpha_beta(params, x.x_DI, x.x_UI)))
 
 
 def _interval(case: StrategyCase, A: float, B: float, P: float,
@@ -318,6 +313,34 @@ def _distinct(solutions: list[HjbSolution], tol: float = 1e-9) -> list[HjbSoluti
 
 
 ALL_CONTROLS = [ControlVector(*bits) for bits in itertools.product((0, 1), repeat=4)]
+_CONTROL_BITS = np.array([u.as_tuple() for u in ALL_CONTROLS], dtype=float)
+# line i of the optimality system toggles state i to its partner state
+_PARTNER = (2, 3, 0, 1)
+# the rate-free entries: -mu on every line and the normalization g_US = 0
+_ORACLE_TEMPLATE = np.zeros((16, 5, 5))
+_ORACLE_TEMPLATE[:, :4, 4] = -1.0
+_ORACLE_TEMPLATE[:, 4, 3] = 1.0
+
+
+def _oracle_systems(params: ModelParams, alpha: float,
+                    beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 fixed-control systems in the unknowns (g_DI, g_DS, g_UI, g_US,
+    mu), matrices and right-hand sides, in ALL_CONTROLS order.
+
+    Each rate entry is computed as lam*u or -lam*u - rate, so its float,
+    the sign of a zero included, is that of the scalar formula.
+    """
+    lam = params.lam
+    mats = _ORACLE_TEMPLATE.copy()
+    up, down = lam * _CONTROL_BITS, -lam * _CONTROL_BITS
+    rates = ((params.q_rec_D, 1), (alpha, 0), (params.q_rec_U, 3), (beta, 2))
+    for row, (rate, other) in enumerate(rates):
+        mats[:, row, row] = down[:, row] - rate
+        mats[:, row, _PARTNER[row]] = up[:, row]
+        mats[:, row, other] = rate
+    rhs = np.zeros((16, 5))
+    rhs[:, :3] = (-(params.k_I + params.k_D), -params.k_D, -params.k_I)
+    return mats, rhs
 
 
 def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
@@ -327,35 +350,7 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     Independent of the closed forms; must agree with enumerate_hjb.
     Solutions equal up to an additive shift of g are deduplicated.
     """
-    alpha, beta = alpha_beta(params, x)
-    lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
-    k_D, k_I = params.k_D, params.k_I
-
-    # unknowns (g_DI, g_DS, g_UI, g_US, mu); one system per control
-    mats = np.zeros((16, 5, 5))
-    rhs = np.zeros((16, 5))
-    for i, u in enumerate(ALL_CONTROLS):
-        m = mats[i]
-        m[0, 0] = -lam * u.u_DI - q_D
-        m[0, 1] = q_D
-        m[0, 2] = lam * u.u_DI
-        m[0, 4] = -1.0
-        rhs[i, 0] = -(k_I + k_D)
-        m[1, 0] = alpha
-        m[1, 1] = -lam * u.u_DS - alpha
-        m[1, 3] = lam * u.u_DS
-        m[1, 4] = -1.0
-        rhs[i, 1] = -k_D
-        m[2, 0] = lam * u.u_UI
-        m[2, 2] = -lam * u.u_UI - q_U
-        m[2, 3] = q_U
-        m[2, 4] = -1.0
-        rhs[i, 2] = -k_I
-        m[3, 1] = lam * u.u_US
-        m[3, 2] = beta
-        m[3, 3] = -lam * u.u_US - beta
-        m[3, 4] = -1.0
-        m[4, 3] = 1.0  # normalization g_US = 0
+    mats, rhs = _oracle_systems(params, *alpha_beta(params, x))
 
     # controls that disconnect the chain (e.g. u = 0 everywhere) make the
     # one-average-cost system rank-deficient; those are solved in the
@@ -377,9 +372,10 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         if residual <= 1e-8 * max(1.0, float(np.max(np.abs(rhs[i])))):
             sols[i] = z
 
+    finite = np.isfinite(sols).all(axis=1)
     kept: list[HjbSolution] = []
     for i, u in enumerate(ALL_CONTROLS):
-        if not np.isfinite(sols[i]).all():
+        if not finite[i]:
             continue
         g_DI, g_DS, g_UI, g_US, mu = sols[i]
         diffs = (

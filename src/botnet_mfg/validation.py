@@ -42,19 +42,21 @@ def random_params(rng: np.random.Generator, lam: float | None = None,
                   lo: float = 0.1, hi: float = 5.0,
                   equal_recovery: bool = False) -> ModelParams:
     """A parameter draw respecting the natural sign structure, in Python floats."""
-    q_a, q_b = sorted(rng.uniform(lo, hi, size=2).tolist())
+    draws = rng.uniform(lo, hi, size=8).tolist()
+    q_a, q_b = sorted(draws[0:2])
     if equal_recovery:
         q_a = q_b
-    inf_a, inf_b = sorted(rng.uniform(lo, hi, size=2).tolist())
+    inf_a, inf_b = sorted(draws[2:4])
     if inf_a == inf_b:
         inf_b = inf_a + lo
-    b_ud, b_uu = sorted(rng.uniform(lo, hi, size=2).tolist())
-    b_dd, b_du = sorted(rng.uniform(lo, hi, size=2).tolist())
+    b_ud, b_uu = sorted(draws[4:6])
+    b_dd, b_du = sorted(draws[6:8])
     return ModelParams(
         q_rec_D=q_b, q_rec_U=q_a,
         q_inf_D=inf_a, q_inf_U=inf_b,
         beta_UU=b_uu, beta_UD=b_ud, beta_DU=b_du, beta_DD=b_dd,
-        lam=lam if lam is not None else float(rng.choice([1.0, 10.0, 1000.0])),
+        # the draw rng.choice([1.0, 10.0, 1000.0]) makes, without its overhead
+        lam=lam if lam is not None else (1.0, 10.0, 1000.0)[int(rng.integers(0, 3))],
         v_H=float(rng.uniform(0.2, 2.0)),
         k_D=float(rng.uniform(0.0, 1.0)),
         k_I=1.0,

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from botnet_mfg import ModelParams, StateDist
+from botnet_mfg import ModelParams, StateDist, alpha_beta
+from botnet_mfg.hjb import _thresholds
 from botnet_mfg.validation import random_control, random_params, random_state
 
-__all__ = ["random_params", "random_state", "random_control"]
+__all__ = ["case_thresholds", "random_params", "random_state", "random_control"]
+
+
+def case_thresholds(params: ModelParams, x: StateDist) -> dict[str, float]:
+    """The four quantities A, B, P, Q deciding case validity at x, by name."""
+    return dict(zip("ABPQ", _thresholds(params, *alpha_beta(params, x))))
 
 
 @pytest.fixture

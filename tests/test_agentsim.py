@@ -33,6 +33,7 @@ from botnet_mfg.agentsim import (
     replica_trajectories,
 )
 from botnet_mfg.validation import random_control, random_params
+from conftest import case_thresholds
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
 CASE_II = StrategyCase.PREFER_DEFENDED
@@ -380,7 +381,7 @@ class TestMyopicDecision:
         x = _dist_of(counts, n)
         assert x == StateDist(0.3, 0.3, 0.2, 0.2)
         base = replace(GAP_PARAMS, q_rec_D=1.5)
-        th = hjb.case_thresholds(base, x)
+        th = case_thresholds(base, x)
         params = base.with_kappa(th["A"] / th["P"])
         holding = {case for case in StrategyCase
                    if _interval_holds(params, counts, n, case)}
@@ -435,7 +436,7 @@ class TestKeptDecisionFromCounts:
                 counts = [0, counts[0] + counts[1], 0, counts[2] + counts[3]]
             case = list(StrategyCase)[rng.integers(4)]
             x = _dist_of(counts, n)
-            th = hjb.case_thresholds(params, x)
+            th = case_thresholds(params, x)
             zero_denominators += th["P"] == 0.0 or th["Q"] == 0.0
             ends = [end for end in case_interval(params, x, case)
                     if math.isfinite(end) and end >= 0.0]

@@ -1,4 +1,7 @@
+import itertools
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,14 @@ from botnet_mfg import (
     fixed_point_acyclic,
     fixed_point_mixed,
     fixed_point_mixed_asymptotic,
+    kinetic_jacobian,
     kinetic_rhs,
     fixedpoint,
     stability,
 )
 from botnet_mfg.fixedpoint import (
+    _swap_du,
+    _swap_state,
     bracket_roots,
     endemic_root,
     fixed_point_residual,
@@ -277,6 +283,150 @@ class TestStabilityFunction:
 
     def test_refill_is_idempotent(self, base_params):
         fp = fixed_point_acyclic(base_params, CASE_I)
-        again = stability(base_params, fp)
-        assert again.eigenvalues == fp.eigenvalues
-        assert again.stable == fp.stable
+        assert stability(base_params, fp.x, fp.case) == (fp.eigenvalues, fp.stable)
+
+    def test_one_spectrum_per_returned_mixed_point(self, rng, monkeypatch):
+        calls = []
+
+        def counting(params, x, case):
+            calls.append(case)
+            return stability(params, x, case)
+
+        monkeypatch.setattr(fixedpoint, "stability", counting)
+        returned = []
+        for lam in (1.0, 10.0, 1000.0):
+            for _ in range(50):
+                params = random_params(rng, lam=lam)
+                for case in (CASE_III, CASE_IV):
+                    returned += [fp.case for fp in fixed_point_mixed(params, case)]
+        assert len(returned) >= 300
+        assert calls == returned
+
+
+def _reference_quartic(params):
+    """mixed_quartic_coeffs as np.polynomial computes it."""
+    P = np.polynomial.polynomial
+    lam, v_H = params.lam, params.v_H
+    den = np.array([params.q_rec_U, -params.beta_UU])
+    num = np.array([0.0, params.q_inf_U * v_H + lam, params.beta_DU])
+    t1 = P.polysub(P.polymul(den, np.array([1.0, -2.0])), num)
+    t2 = P.polyadd(P.polymul(np.array([params.q_inf_D * v_H, params.beta_DD]), den),
+                   params.beta_UD * num)
+    loss = (params.q_rec_D + lam) * P.polymul(np.array([0.0, 1.0]), P.polymul(den, den))
+    poly = P.polysub(P.polymul(t1, t2), loss)
+    out = np.zeros(5)
+    out[: len(poly)] = poly
+    return out
+
+
+def _reference_spectrum(m):
+    """The reduced-Jacobian spectrum as the roots np.roots finds."""
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    minors = (
+        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
+        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
+        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    )
+    det = float(np.linalg.det(m))
+    return [complex(z) for z in np.roots([1.0, -tr, minors, -det])]
+
+
+def _reference_mixed(params, case):
+    """fixed_point_mixed, with every case-iii spectrum taken (case iv recursing)."""
+    if case is CASE_IV:
+        return [(_swap_state(x), _reference_eigs(params, _swap_state(x), case))
+                for x, _ in _reference_mixed(_swap_du(params), CASE_III)]
+    points = []
+    for root in bracket_roots(_reference_quartic(params)):
+        try:
+            x = reconstruct_mixed_state(params, root)
+        except (fixedpoint.DenominatorPole, ValueError):
+            continue
+        eigs = _reference_eigs(params, x, case)
+        if float(np.max(np.abs(kinetic_rhs(params, x, case.control)))) <= fixedpoint.RESIDUAL_TOL:
+            points.append((x, eigs))
+    return points
+
+
+def _reference_eigs(params, x, case):
+    eliminated = 1 if case is CASE_III else 3
+    red = _reference_reduced_jacobian(params, x, case.control, eliminated)
+    assert red.tobytes() == reduced_jacobian(params, x, case.control, eliminated).tobytes()
+    return tuple(sorted(_reference_spectrum(red), key=lambda z: (z.real, z.imag)))
+
+
+def _reference_reduced_jacobian(params, x, u, eliminated):
+    """reduced_jacobian entry by entry."""
+    full = kinetic_jacobian(params, x, u)
+    keep = [i for i in range(4) if i != eliminated]
+    red = np.empty((3, 3))
+    for a, i in enumerate(keep):
+        for b, k in enumerate(keep):
+            red[a, b] = full[i, k] - full[i, eliminated]
+    return red
+
+
+def _zero_rate_params(rng, lam):
+    """A random_params draw with up to three rates set to zero."""
+    params = random_params(rng, lam=lam)
+    names = ("beta_UU", "beta_DU", "beta_DD", "beta_UD", "q_rec_U", "v_H")
+    picked = rng.choice(len(names), size=int(rng.integers(1, 4)), replace=False)
+    return replace(params, **{names[i]: 0.0 for i in picked})
+
+
+class TestBitIdentity:
+    """The direct kernels return the floats of the np.polynomial / np.roots path."""
+
+    def test_mixed_points_and_quartic_match_reference(self, rng):
+        compared = 0
+        for k in range(2000):
+            lam = (1.0, 10.0, 1000.0, 2000.0)[k % 4]
+            params = _zero_rate_params(rng, lam) if k % 10 == 9 else random_params(rng, lam=lam)
+            assert mixed_quartic_coeffs(params).tobytes() == _reference_quartic(params).tobytes()
+            for case in (CASE_III, CASE_IV):
+                got = [(fp.x, fp.eigenvalues) for fp in fixed_point_mixed(params, case)]
+                assert repr(got) == repr(_reference_mixed(params, case))
+                compared += len(got)
+        assert compared >= 3000
+
+    def test_quartic_with_zero_rates_matches_reference(self, rng):
+        # np.polynomial trims trailing zero coefficients before and after
+        # each product, which fixes the sign of the zero coefficients
+        names = ("beta_UU", "beta_DU", "beta_DD", "beta_UD", "q_rec_U", "q_rec_D",
+                 "q_inf_U", "q_inf_D", "v_H")
+        for lam in (1.0, 10.0, 1000.0, 2000.0):
+            for _ in range(2):
+                base = random_params(rng, lam=lam)
+                for size in (1, 2, 3, 4):
+                    for zeroed in itertools.combinations(names, size):
+                        params = replace(base, **dict.fromkeys(zeroed, 0.0))
+                        assert (mixed_quartic_coeffs(params).tobytes()
+                                == _reference_quartic(params).tobytes()), zeroed
+
+    def test_cubic_eigs_match_np_roots(self, rng):
+        for _ in range(500):
+            m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+            assert fixedpoint._cubic_eigs(m) == tuple(_reference_spectrum(m))
+
+    @pytest.mark.parametrize("m", [
+        [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 5.0, 6.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[-2.0, 1.0, 0.0], [1.0, -0.5, 0.0], [3.0, 1.0, -1.0]],
+    ], ids=["zero-row", "zero", "rank-two"])
+    def test_singular_matrix_keeps_the_zero_root(self, m):
+        m = np.array(m)
+        assert float(np.linalg.det(m)) == 0.0
+        eigs = fixedpoint._cubic_eigs(m)
+        assert eigs == tuple(_reference_spectrum(m))
+        assert 0j in eigs and len(eigs) == 3
+
+    @pytest.mark.parametrize("q_inf, expect_nan", [(1e308, True), (1.0, False)])
+    def test_residual_is_the_numpy_sup_norm(self, q_inf, expect_nan):
+        params = _mk(q_inf_D=q_inf, v_H=1e308 if expect_nan else 1.0)
+        x = fixedpoint.StateDist(0.25, 0.25, 0.25, 0.25)
+        for case in StrategyCase:
+            fp = fixedpoint.FixedPoint(x, case, (0j, 0j, 0j), False, "closed_form")
+            got = fixed_point_residual(params, fp)
+            ref = float(np.max(np.abs(kinetic_rhs(params, x, case.control))))
+            assert math.isnan(got) == math.isnan(ref) == expect_nan
+            assert expect_nan or got == ref

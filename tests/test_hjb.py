@@ -21,11 +21,11 @@ from botnet_mfg import hjb
 from botnet_mfg.hjb import (
     TooManySolutions,
     bellman_residual,
-    case_thresholds,
     control_attains_min,
 )
 from botnet_mfg.equilibrium import stationary_points
 from botnet_mfg.validation import _oracle_matches, random_params, random_state
+from conftest import case_thresholds
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
 CASE_II = StrategyCase.PREFER_DEFENDED
@@ -230,6 +230,43 @@ class TestOracle:
             params = random_params(rng)
             sols = oracle_enumerate(params, random_state(rng))
             assert len(sols) <= 2
+
+    def test_systems_match_the_scalar_formulas(self, rng):
+        for k in range(400):
+            params = random_params(rng, lam=(1.0, 10.0, 1000.0, 2000.0)[k % 4])
+            if k % 2:
+                zeroed = ("q_rec_D", "q_rec_U", "k_D")[: k % 4]
+                params = replace(params, **dict.fromkeys(zeroed, 0.0))
+            alpha, beta = (0.0, 0.0) if k % 5 == 0 else alpha_beta(params, random_state(rng))
+            mats, rhs = hjb._oracle_systems(params, alpha, beta)
+            ref_mats, ref_rhs = _scalar_systems(params, alpha, beta)
+            assert mats.tobytes() == ref_mats.tobytes()
+            assert rhs.tobytes() == ref_rhs.tobytes()
+
+
+def _scalar_systems(params, alpha, beta):
+    """The 16 fixed-control systems, entry by entry."""
+    lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
+    mats = np.zeros((16, 5, 5))
+    rhs = np.zeros((16, 5))
+    for i, u in enumerate(hjb.ALL_CONTROLS):
+        m = mats[i]
+        m[0, 0] = -lam * u.u_DI - q_D
+        m[0, 1] = q_D
+        m[0, 2] = lam * u.u_DI
+        m[1, 0] = alpha
+        m[1, 1] = -lam * u.u_DS - alpha
+        m[1, 3] = lam * u.u_DS
+        m[2, 0] = lam * u.u_UI
+        m[2, 2] = -lam * u.u_UI - q_U
+        m[2, 3] = q_U
+        m[3, 1] = lam * u.u_US
+        m[3, 2] = beta
+        m[3, 3] = -lam * u.u_US - beta
+        m[:4, 4] = -1.0
+        m[4, 3] = 1.0
+        rhs[i, :3] = (-(params.k_I + params.k_D), -params.k_D, -params.k_I)
+    return mats, rhs
 
 
 class TestCaseInterval:
