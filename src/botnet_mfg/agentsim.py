@@ -16,19 +16,23 @@ by N reproduce the kinetic right-hand side exactly at x = n/N:
     8    DI -> UI   lam * n_DI * u_DI
     9    UI -> DI   lam * n_UI * u_UI
 
-``rate_table`` is the only place these formulas live: the simulator draws
-its jumps from it and ``generator_drift`` checks it against the kinetic
-right-hand side.
+``rate_table`` is the only place these formulas live: it returns their
+running sums, the simulator draws its jumps from them and
+``generator_drift`` takes each rate back as a step of the sums to check
+it against the kinetic right-hand side.
 
 Waiting times are exponential with the total rate; the jump channel is
 drawn proportionally to the rates (the classical direct stochastic
-simulation algorithm).  The channel walk visits only the channels whose
-coefficient is nonzero under the current control: every other rate is
-0.0 at every state and would never move the cumulative sum.  The uniform
-for the walk is the top 53 bits of the generator's next raw word, the
-same number ``Generator.random()`` returns.  Randomness comes from a
-64-bit PCG64 generator; each replica uses its own stream seeded with
-base_seed + replica_index, so runs are reproducible bit for bit.
+simulation algorithm).  The channel is ``bisect_right`` of the uniform
+times the total on the running sums: a zero rate repeats its
+predecessor's sum and is never picked, so this is the channel a walk
+over the ten rates picks.  The uniform is the top 53 bits of the
+generator's next raw word, the same number ``Generator.random()``
+returns.  Head-counts are floats; ``SimConfig`` keeps them at most
+2**53, where each count and each product with it is the float an integer
+count gives.  Randomness comes from a 64-bit PCG64 generator; each
+replica uses its own stream seeded with base_seed + replica_index, so
+runs are reproducible bit for bit.
 
 In myopic mode one rule, ``_resolve_control``, decides from the
 head-counts: the exact kappa intervals are computed on the fractions c/n
@@ -44,6 +48,7 @@ of one configuration share a single solve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -66,8 +71,8 @@ EVENT_MOVES: tuple[tuple[int, int], ...] = (
 )
 
 MYOPIC = "myopic"
-# head-counts (n_DI, n_DS, n_UI, n_US) -> (ten channel rates, their total)
-RateTable = Callable[[int, int, int, int], tuple[tuple[float, ...], float]]
+# head-counts (n_DI, n_DS, n_UI, n_US) -> running sums of the ten channel rates
+RateTable = Callable[[float, float, float, float], tuple[float, ...]]
 _UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
 
 
@@ -125,8 +130,9 @@ class SimConfig:
     myopic_recompute: str = "interval"   # "interval" | "event"
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+        # float head-counts are exact up to 2**53
+        if not isinstance(self.n_agents, (int, np.integer)) or not 1 <= self.n_agents <= 2 ** 53:
+            raise ValueError(f"n_agents must be an integer in [1, 2**53], got {self.n_agents!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("horizon", "sample_interval"):
@@ -177,8 +183,8 @@ def rate_table(params: ModelParams, n_agents: int,
     """The ten channel rates of an n_agents population under control u.
 
     Returns a function of the head-counts (n_DI, n_DS, n_UI, n_US) that
-    yields the rates in channel order and their total.  The total is a
-    left-to-right sum, the same float as accumulating from 0.0.
+    yields the running sums a_k = r_0 + ... + r_k of the rates in channel
+    order, summed left to right, so a_9 is the total rate.
     """
     dir_D = params.q_inf_D * params.v_H
     dir_U = params.q_inf_U * params.v_H
@@ -188,30 +194,39 @@ def rate_table(params: ModelParams, n_agents: int,
     lam = params.lam
     s_DS, s_US, s_DI, s_UI = lam * u.u_DS, lam * u.u_US, lam * u.u_DI, lam * u.u_UI
 
-    def rates(c_DI, c_DS, c_UI, c_US):
-        r = (c_DS * dir_D, c_US * dir_U, c_DI * q_D, c_UI * q_U,
-             c_DS * (c_DI * b_DD + c_UI * b_UD), c_US * (c_DI * b_DU + c_UI * b_UU),
-             c_DS * s_DS, c_US * s_US, c_DI * s_DI, c_UI * s_UI)
-        return r, r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7] + r[8] + r[9]
+    def sums(c_DI, c_DS, c_UI, c_US):
+        a0 = c_DS * dir_D
+        a1 = a0 + c_US * dir_U
+        a2 = a1 + c_DI * q_D
+        a3 = a2 + c_UI * q_U
+        a4 = a3 + c_DS * (c_DI * b_DD + c_UI * b_UD)
+        a5 = a4 + c_US * (c_DI * b_DU + c_UI * b_UU)
+        a6 = a5 + c_DS * s_DS
+        a7 = a6 + c_US * s_US
+        a8 = a7 + c_DI * s_DI
+        return (a0, a1, a2, a3, a4, a5, a6, a7, a8, a8 + c_UI * s_UI)
 
-    return rates
+    return sums
 
 
 def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) -> np.ndarray:
     """(1/N) * sum over channels of rate * jump direction.
 
-    Algebraically identical to kinetic_rhs at x = n/N.
+    Each rate is a step a_k - a_{k-1} of ``rate_table``'s running sums,
+    the rates the simulator samples from.  Algebraically identical to
+    kinetic_rhs at x = n/N.
     """
     n = counts.total
-    rates, _ = rate_table(params, n, u)(*counts.as_tuple())
     drift = np.zeros(4)
-    for rate, (src, dst) in zip(rates, EVENT_MOVES):
-        drift[src] -= rate
-        drift[dst] += rate
+    prev = 0.0
+    for a, (src, dst) in zip(rate_table(params, n, u)(*counts.as_tuple()), EVENT_MOVES):
+        drift[src] -= a - prev
+        drift[dst] += a - prev
+        prev = a
     return drift / n
 
 
-def _resolve_control(params: ModelParams, counts: list[int], n: int,
+def _resolve_control(params: ModelParams, counts: list[float], n: int,
                      incumbent: StrategyCase | None, notes: list[str],
                      t: float) -> hjb_mod.HjbSolution | None:
     """Myopic rule at the head-counts: None keeps the incumbent, a solution
@@ -250,7 +265,7 @@ def _resolve_control(params: ModelParams, counts: list[int], n: int,
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    counts4 = list(cfg.initial_counts().as_tuple())
+    counts4 = [float(c) for c in cfg.initial_counts().as_tuple()]
     n = cfg.n_agents
 
     notes: list[str] = []
@@ -261,7 +276,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     else:
         control = cfg.policy  # type: ignore[assignment]
     case = control.case
-    table, active = _channels(params, n, control)
+    table = rate_table(params, n, control)
 
     n_samples = math.floor(cfg.horizon / cfg.sample_interval + 1e-9)
     sample_times = [i * cfg.sample_interval for i in range(n_samples + 1)]
@@ -273,7 +288,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     next_sample = 0
     per_event = myopic and cfg.myopic_recompute == "event"
     per_sample = myopic and not per_event
-    exponential = rng.exponential
+    standard_exponential = rng.standard_exponential
     # Generator.random() of PCG64 is the top 53 bits of the next raw word
     random_raw = rng.bit_generator.random_raw
 
@@ -281,8 +296,10 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     # waiting time afterwards is exact because the clock is memoryless
     while next_sample <= n_samples:
         c_DI, c_DS, c_UI, c_US = counts4
-        rates, total = table(c_DI, c_DS, c_UI, c_US)
-        t_event = t + exponential(1.0 / total) if total > 0.0 else math.inf
+        sums = table(c_DI, c_DS, c_UI, c_US)
+        total = sums[9]
+        # Generator.exponential(scale) is scale * standard_exponential()
+        t_event = t + standard_exponential() * (1.0 / total) if total > 0.0 else math.inf
 
         ts = sample_times[next_sample]
         if ts <= t_event:
@@ -293,21 +310,16 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             next_sample += 1
             recompute = per_sample
         else:
-            # execute the jump at t_event; the skipped channels are 0.0 at
-            # every state, and a zero rate never moves `acc`, so the walk
-            # picks the channel a walk over all ten would pick
+            # execute the jump at t_event in the first channel whose
+            # running sum exceeds the draw
             t = t_event
             draw = (random_raw() >> 11) * _UNIT * total
-            acc = 0.0
-            for k in active:
-                acc += rates[k]
-                if draw < acc:
-                    break
-            else:  # draw rounded up to the total
-                k = next(j for j in reversed(active) if rates[j] > 0.0)
+            k = bisect_right(sums, draw)
+            if k == 10:  # draw rounded up to the total: the last sum that rises
+                k = bisect_left(sums, total)
             src, dst = EVENT_MOVES[k]
-            counts4[src] -= 1
-            counts4[dst] += 1
+            counts4[src] -= 1.0
+            counts4[dst] += 1.0
             recompute = per_event
 
         if recompute:
@@ -315,7 +327,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             if sol is not None:
                 switches.append(SwitchEvent(t, _case_label(control), sol.case.label, sol.mu))
                 control, case = sol.control, sol.case
-                table, active = _channels(params, n, control)
+                table = rate_table(params, n, control)
 
     return Trajectory(
         times=np.array(times),
@@ -326,20 +338,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     )
 
 
-def _channels(params: ModelParams, n_agents: int,
-              u: ControlVector) -> tuple[RateTable, tuple[int, ...]]:
-    """The rate table under u and the channels it can make positive.
-
-    Each rate is a head-count times a nonnegative coefficient (a sum of two
-    such for contact), so a channel that is 0.0 with one agent in every
-    state is 0.0 at every state.
-    """
-    table = rate_table(params, n_agents, u)
-    rates, _ = table(1, 1, 1, 1)
-    return table, tuple(k for k, r in enumerate(rates) if r > 0.0)
-
-
-def _dist_of(counts: list[int], n: int) -> StateDist:
+def _dist_of(counts: list[float], n: int) -> StateDist:
     return StateDist(counts[0] / n, counts[1] / n, counts[2] / n, counts[3] / n)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from botnet_mfg import agentsim, hjb
 from botnet_mfg.agentsim import (
     EVENT_MOVES,
     _UNIT,
-    _channels,
     _dist_of,
     _resolve_control,
     generator_drift,
@@ -70,65 +70,137 @@ class TestAgentCounts:
         assert counts.as_tuple() == (1, 2, 3, 4)
 
 
+def _reference_rates(params, n, u, counts):
+    """The ten channel rates of the module docstring's table, written out
+    independently of ``rate_table``."""
+    c_DI, c_DS, c_UI, c_US = counts
+    lam = params.lam
+    return (c_DS * (params.q_inf_D * params.v_H), c_US * (params.q_inf_U * params.v_H),
+            c_DI * params.q_rec_D, c_UI * params.q_rec_U,
+            c_DS * (c_DI * (params.beta_DD / n) + c_UI * (params.beta_UD / n)),
+            c_US * (c_DI * (params.beta_DU / n) + c_UI * (params.beta_UU / n)),
+            c_DS * (lam * u.u_DS), c_US * (lam * u.u_US),
+            c_DI * (lam * u.u_DI), c_UI * (lam * u.u_UI))
+
+
+def _walk(rates, draw):
+    """Gillespie's channel pick as a walk over the ten rates: the first
+    channel whose cumulative sum exceeds the draw or, when the draw rounds
+    up to the total, the last channel that moved the sum."""
+    acc, last = 0.0, None
+    for k, r in enumerate(rates):
+        if acc + r > acc:
+            last = k
+        acc += r
+        if draw < acc:
+            return k
+    return last
+
+
+def _pick(sums, draw):
+    """The simulator's channel pick on the running sums."""
+    k = bisect_right(sums, draw)
+    return bisect_left(sums, sums[9]) if k == 10 else k
+
+
+ZEROABLE = ("q_inf_D", "q_inf_U", "q_rec_D", "q_rec_U", "v_H",
+            "beta_UU", "beta_UD", "beta_DU", "beta_DD")
+
+
 class TestEventRates:
     def test_absorbing_state_has_zero_rates(self):
         params = sim_params()
         params = replace(params, v_H=0.0)
-        rates, total = rate_table(params, 100, U_I)(0, 0, 0, 100)
-        assert rates == (0.0,) * 10
-        assert total == 0.0
+        assert rate_table(params, 100, U_I)(0.0, 0.0, 0.0, 100.0) == (0.0,) * 10
 
     def test_single_contact_pair(self):
         params = ModelParams(
             q_rec_D=0.0, q_rec_U=0.0, q_inf_D=0.0, q_inf_U=0.0,
             beta_UU=1.0, beta_UD=0.0, beta_DU=0.0, beta_DD=0.0,
             lam=1.0, v_H=0.0, k_D=0.5, k_I=1.0)
-        rates, total = rate_table(params, 2, U_OFF)(0, 0, 1, 1)
-        nonzero = np.nonzero(rates)[0]
-        assert list(nonzero) == [5]
-        assert rates[5] == pytest.approx(0.5)
-        assert total == rates[5]
+        sums = rate_table(params, 2, U_OFF)(0.0, 0.0, 1.0, 1.0)
+        assert sums == (0.0,) * 5 + (0.5,) * 5
+        assert _pick(sums, 0.0) == _pick(sums, 0.5) == 5
         assert EVENT_MOVES[5] == (3, 2)
 
     def test_rates_nonnegative(self, rng):
         for _ in range(500):
             params = random_params(rng)
-            counts = [int(v) for v in rng.integers(0, 100, size=4) + 1]
-            rates, total = rate_table(params, sum(counts), random_control(rng))(*counts)
-            assert len(rates) == len(EVENT_MOVES) == 10
-            assert all(r >= 0.0 for r in rates)
-            acc = 0.0
-            for r in rates:
-                acc += r
-            assert total == acc
+            counts = [float(v) for v in rng.integers(0, 100, size=4) + 1]
+            sums = rate_table(params, int(sum(counts)), random_control(rng))(*counts)
+            assert len(sums) == len(EVENT_MOVES) == 10
+            assert sums[0] >= 0.0
+            assert all(b >= a for a, b in zip(sums, sums[1:]))
 
-    def test_skipped_channels_are_zero_at_every_state(self, rng):
-        zeroable = ("q_rec_D", "q_rec_U", "v_H", "beta_UU", "beta_UD", "beta_DU", "beta_DD")
+    def test_running_sums_of_the_reference_rates(self, rng):
         for _ in range(500):
             params = random_params(rng)
-            params = replace(params, **{k: 0.0 for k in zeroable if rng.random() < 0.3})
-            n = int(rng.integers(1, 200))
-            table, active = _channels(params, n, random_control(rng))
-            for _ in range(5):
-                counts = [int(v) for v in rng.multinomial(n, [0.25] * 4)]
-                rates, total = table(*counts)
-                assert all(rates[k] == 0.0 for k in range(10) if k not in active)
-                acc = 0.0
-                for k in active:
-                    acc += rates[k]
-                assert acc == total
+            params = replace(params, **{k: 0.0 for k in ZEROABLE if rng.random() < 0.3})
+            n = int(rng.integers(1, 10_000))
+            u = random_control(rng)
+            counts = [float(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(4)))]
+            acc, expected = 0.0, []
+            for r in _reference_rates(params, n, u, counts):
+                acc += r
+                expected.append(acc)
+            assert rate_table(params, n, u)(*counts) == tuple(expected)
+
+    def test_float_and_int_head_counts_give_the_same_sums(self, rng):
+        for k in range(2000):
+            params = random_params(rng)
+            n = int(rng.integers(1, 2 ** 53 + 1)) if k % 2 else int(rng.integers(1, 10_000))
+            u = random_control(rng)
+            counts = [int(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(4)))]
+            table = rate_table(params, n, u)
+            from_int = table(*counts)
+            from_float = table(*(float(c) for c in counts))
+            assert [a.hex() for a in from_float] == [a.hex() for a in from_int]
+
+    def test_bisect_picks_the_walked_channel(self, rng):
+        # zeroed rates, draws on a running sum and draws equal to the total
+        pairs = 0
+        while pairs < 12_000:
+            params = random_params(rng)
+            params = replace(params, **{k: 0.0 for k in ZEROABLE if rng.random() < 0.3})
+            n = int(rng.integers(1, 5000))
+            u = random_control(rng)
+            counts = [float(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(4)))]
+            rates = _reference_rates(params, n, u, counts)
+            sums = rate_table(params, n, u)(*counts)
+            if sums[9] == 0.0:
+                continue
+            draws = [(int(rng.integers(0, 2 ** 53)) * _UNIT) * sums[9] for _ in range(3)]
+            draws += [sums[9], sums[int(rng.integers(10))], 0.0]
+            for draw in draws:
+                k = _pick(sums, draw)
+                assert k == _walk(rates, draw), (params, n, u, counts, draw)
+                assert rates[k] > 0.0
+                pairs += 1
+
+    def test_simulator_draw_at_the_total_takes_the_last_rising_channel(self, monkeypatch):
+        # a unit of 1.0 puts every draw at or above the total, so every jump
+        # takes the fallback: UI -> DI (channel 9) while UI holds an agent,
+        # else DI -> UI (channel 8); recovery (channels 2, 3) never fires
+        monkeypatch.setattr(agentsim, "_UNIT", 1.0)
+        cfg = SimConfig(n_agents=3, horizon=2.0, seed=5, policy=ControlVector(1, 1, 1, 1),
+                        sample_interval=0.1, initial=AgentCounts(0, 0, 3, 0))
+        counts = simulate(sim_params(), cfg).states * 3
+        assert np.all(counts >= 0.0)
+        assert not counts[:, [1, 3]].any()
+        assert set(counts[len(counts) // 2:, 2]) <= {0.0, 1.0}
 
     def test_raw_word_uniform_is_generator_random(self):
-        # the simulator's jump draw against Generator.random() on a twin
-        # stream, interleaved with the waiting-time draws
+        # the simulator's waiting time and jump draw against
+        # Generator.exponential and Generator.random() on a twin stream
         ref = np.random.Generator(np.random.PCG64(2024))
         rng = np.random.Generator(np.random.PCG64(2024))
+        standard_exponential = rng.standard_exponential
         random_raw = rng.bit_generator.random_raw
         expected, got = [], []
         for i in range(100_000):
-            scale = 1.0 / (1 + i % 97)
-            expected.append((ref.exponential(scale), ref.random()))
-            got.append((rng.exponential(scale), (random_raw() >> 11) * _UNIT))
+            total = float(1 + i % 97)
+            expected.append((ref.exponential(1.0 / total), ref.random()))
+            got.append((standard_exponential() * (1.0 / total), (random_raw() >> 11) * _UNIT))
         assert got == expected
 
     def test_generator_identity(self, rng):
@@ -183,6 +255,12 @@ class TestSimulate:
         burn = len(traj.times) // 2
         samples = traj.states[burn:, 2]
         assert abs(samples.mean() - fp.x.x_UI) <= 3.0 * samples.std()
+
+    @pytest.mark.parametrize("n_agents", [0, -3, 2 ** 53 + 1, 10 ** 20, 2.5, 100.0])
+    def test_rejects_population_outside_exact_float_counts(self, n_agents):
+        with pytest.raises(ValueError, match="n_agents"):
+            SimConfig(n_agents=n_agents, horizon=1.0, seed=0, policy=U_I,
+                      sample_interval=0.5, initial=StateDist(0.0, 0.0, 0.3, 0.7))
 
     def test_requires_fixed_policy(self):
         params = sim_params()
@@ -501,6 +579,21 @@ class TestGolden:
         run = simulate if policy == U_I else simulate_myopic
         traj = run(params, cfg)
         assert len(traj.switches) == switches
+        assert hashlib.sha256(_simulate_csv(traj)).hexdigest() == digest
+
+    @pytest.mark.parametrize("zeroed, u, n, digest", [
+        ((), ControlVector(1, 1, 1, 1), 300,
+         "bbdb3711ee1330cbc2731e52ef4f7ce9767d5811849789c19b6f7fa9f13e3afe"),
+        (("q_inf_D", "q_rec_U"), ControlVector(0, 1, 0, 1), 300,
+         "5d8e014584bbc72eabe6f1ee28e9dfb4afc1d1599a7f7723a8ee8cd2d62033e0"),
+        ((), ControlVector(1, 1, 1, 1), 10_000,
+         "aa23637d447d102ed6868e3dcd03eb2993542dc795c0201dd522424a999c053c"),
+    ], ids=["all-channels", "channels-0-3-8-9-zero", "all-channels-large-n"])
+    def test_fixed_control_sha256(self, zeroed, u, n, digest):
+        params = replace(sim_params(), **{name: 0.0 for name in zeroed})
+        cfg = SimConfig(n_agents=n, horizon=4.0, seed=2024, policy=u,
+                        sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2))
+        traj = simulate(params, cfg)
         assert hashlib.sha256(_simulate_csv(traj)).hexdigest() == digest
 
     def test_benchmark_myopic_config_sha256(self):

@@ -223,8 +223,12 @@ class TestBadInputs:
         ["--seed", "5", "--horizon", "inf"],
         ["--seed", "5", "--horizon", "1.0", "--sample-interval", "nan"],
         ["--seed", "5", "--horizon", "1e308", "--sample-interval", "1e-10"],
+        ["--seed", "5", "--horizon", "1.0", "--n-agents", "100000000000000000000"],
+        ["--seed", "5", "--horizon", "1.0", "--n-agents", "9007199254740993"],
+        ["--seed", "5", "--horizon", "1.0", "--n-agents", "0"],
     ], ids=["negative-seed", "infinite-horizon", "nan-sample-interval",
-            "overflowing-sample-count"])
+            "overflowing-sample-count", "huge-population", "population-above-2**53",
+            "empty-population"])
     def test_simulate_rejects(self, flags, config_path, capsys):
         code, out, err = run(capsys, "simulate", "--config", config_path,
                              *SIMULATE, *flags)
