@@ -35,10 +35,10 @@ replica uses its own stream seeded with base_seed + replica_index, so
 runs are reproducible bit for bit.
 
 In myopic mode one rule, ``_resolve_control``, decides from the
-head-counts: the exact kappa intervals are computed on the fractions c/n
-divided by their fsum, the floats a ``StateDist`` of them stores.  A
-``StateDist`` is built only when the incumbent's interval fails, to price
-the holding cases with ``solve_case``.
+head-counts: the incumbent's exact kappa interval is computed on the
+fractions c/n divided by their fsum, the floats a ``StateDist`` of them
+stores.  A ``StateDist`` is built only when that interval fails, and
+``hjb.enumerate_hjb`` at it picks the cheapest holding case.
 
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
 row and sample grid among the trajectories it is given, so the replicas
@@ -74,6 +74,12 @@ MYOPIC = "myopic"
 # head-counts (n_DI, n_DS, n_UI, n_US) -> running sums of the ten channel rates
 RateTable = Callable[[float, float, float, float], tuple[float, ...]]
 _UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
+MAX_AGENTS = 2 ** 53  # float head-counts are exact up to here
+
+
+def _check_n_agents(n_agents: int) -> None:
+    if not isinstance(n_agents, (int, np.integer)) or not 1 <= n_agents <= MAX_AGENTS:
+        raise ValueError(f"n_agents must be an integer in [1, 2**53], got {n_agents!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,7 @@ class AgentCounts:
     def from_dist(cls, n_agents: int, x: StateDist) -> "AgentCounts":
         """Round a distribution to integer counts summing to n_agents
         (largest remainders win the leftover agents)."""
+        _check_n_agents(n_agents)
         targets = [n_agents * c for c in x.as_tuple()]
         base = [math.floor(t) for t in targets]
         leftover = n_agents - sum(base)
@@ -130,9 +137,7 @@ class SimConfig:
     myopic_recompute: str = "interval"   # "interval" | "event"
 
     def __post_init__(self) -> None:
-        # float head-counts are exact up to 2**53
-        if not isinstance(self.n_agents, (int, np.integer)) or not 1 <= self.n_agents <= 2 ** 53:
-            raise ValueError(f"n_agents must be an integer in [1, 2**53], got {self.n_agents!r}")
+        _check_n_agents(self.n_agents)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("horizon", "sample_interval"):
@@ -232,35 +237,26 @@ def _resolve_control(params: ModelParams, counts: list[float], n: int,
     """Myopic rule at the head-counts: None keeps the incumbent, a solution
     is the switch.
 
-    The intervals (``hjb.case_interval``) are taken at the fractions c/n
-    divided by their fsum, which is not always 1.0 on the lattice: the
-    floats a ``StateDist`` of them stores.  While the incumbent's interval
-    holds kappa nothing is built or priced.  Otherwise every holding case
-    is priced at ``_dist_of(counts, n)`` and the cheapest by (mu, label) is
-    adopted; if none holds the control is retained and the gap is noted.
+    The incumbent's interval (``hjb.case_interval``) is taken at the
+    fractions c/n divided by their fsum, which is not always 1.0 on the
+    lattice: the floats a ``StateDist`` of them stores.  While it holds
+    kappa nothing is built or priced.  Otherwise the cheapest solution of
+    ``enumerate_hjb`` at ``_dist_of(counts, n)`` is adopted; if none holds
+    the control is retained and the gap is noted.
     """
-    f_DI, f_DS, f_UI, f_US = counts[0] / n, counts[1] / n, counts[2] / n, counts[3] / n
-    total = math.fsum((f_DI, f_DS, f_UI, f_US))
-    alpha, beta = _alpha_beta(params, f_DI / total, f_UI / total)
-    A, B, P, Q = hjb_mod._thresholds(params, alpha, beta)
-    kappa = params.kappa
     if incumbent is not None:
-        lo, hi = hjb_mod._interval(incumbent, A, B, P, Q)
-        if lo <= kappa <= hi:
+        f_DI, f_DS, f_UI, f_US = counts[0] / n, counts[1] / n, counts[2] / n, counts[3] / n
+        total = math.fsum((f_DI, f_DS, f_UI, f_US))
+        alpha, beta = _alpha_beta(params, f_DI / total, f_UI / total)
+        lo, hi = hjb_mod._interval(incumbent, *hjb_mod._thresholds(params, alpha, beta))
+        if lo <= params.kappa <= hi:
             return None
     x = _dist_of(counts, n)
-    priced = []
-    for case in StrategyCase:
-        lo, hi = hjb_mod._interval(case, A, B, P, Q)
-        if lo <= kappa <= hi:
-            try:
-                priced.append(hjb_mod.solve_case(params, x, case))
-            except hjb_mod.DegenerateDenominator:
-                continue
-    if not priced:
+    solutions = hjb_mod.enumerate_hjb(params, x)
+    if not solutions:
         notes.append(f"t={t!r}: no valid solution at x={x.as_tuple()!r}; control retained")
         return None
-    return min(priced, key=lambda s: (s.mu, s.case.label))
+    return solutions[0]
 
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:

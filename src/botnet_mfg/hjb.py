@@ -28,9 +28,10 @@ the validity regions in the cost ratio kappa = k_D/k_I are
 B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
 decided by the domain D1/D2 of x.  P and Q are never negative, so each
 region is one closed interval in kappa, exact at every lam and rate; these
-intervals (``case_interval``) alone decide whether a case holds, and
-``solve_case`` prices it.  An inequality whose P or Q vanishes holds for
-every kappa or for none; with P, Q > 0 the intervals are
+intervals (``case_interval``) alone decide whether a case holds, in
+``solve_case``'s ``valid`` flag too, and ``solve_case`` prices it.  An
+inequality whose P or Q vanishes holds for every kappa or for none; with
+P, Q > 0 the intervals are
 
     case i   : [max(A,B)/Q, inf)
     case ii  : (-inf, min(A,B)/P]
@@ -40,6 +41,15 @@ every kappa or for none; with P, Q > 0 the intervals are
 With s = alpha + q_rec_D, r = beta + q_rec_U and delta = q_rec_D - q_rec_U,
 the endpoints A/P, B/Q, B/P, A/Q tend to delta/s, (beta-alpha)/r,
 (beta-alpha)/s, delta/r as lam -> infinity, at rate 1/lam.
+
+More than two intervals can hold at once: where r = s, A = B and P = Q,
+so all four meet at kappa = A/P (e.g. every contact rate 2, q_inf_D =
+q_inf_U, equal recovery, k_D = 0).  There the four solutions coincide; at
+most two *distinct* solutions ever hold, which ``enumerate_hjb`` checks.
+
+g and mu are linear in (k_D, k_I), so every tolerance below is a multiple
+of k_I: scaling both costs by c > 0 scales g, mu and the slacks by c and
+returns the same cases and flags.
 """
 
 from __future__ import annotations
@@ -60,9 +70,8 @@ from .model import (
     alpha_beta,
 )
 
-# the slack sets only the reported valid/degenerate flags (a slack inside
-# [-DEGENERATE_SLACK, DEGENERATE_SLACK] is valid-but-degenerate); equilibria,
-# sweeps and the myopic rule decide validity from the exact case_interval.
+# in units of k_I: a slack within DEGENERATE_SLACK*k_I of zero is reported
+# degenerate; validity itself is decided by the exact case_interval
 DEGENERATE_SLACK = 1e-9
 # closed-form denominators at or below this are treated as removable
 # singularities of the formulas
@@ -93,8 +102,9 @@ class HjbSolution:
     g is renormalized so min(g) = 0 (relative values are defined up to an
     additive constant).  ``slack1``/``slack2`` are the signed margins of
     the case's two validity inequalities, measured as differences of g
-    values; the case is ``valid`` when both are >= -1e-9 and
-    ``degenerate`` when either sits within 1e-9 of zero.
+    values.  The case is ``valid`` when its ``case_interval`` holds kappa
+    and ``degenerate`` when either slack sits within DEGENERATE_SLACK*k_I
+    of zero.
     """
 
     case: StrategyCase | None
@@ -124,16 +134,17 @@ def _check_denominator(value: float, what: str) -> float:
     return value
 
 
-def _finish(case: StrategyCase, g: dict[str, float], mu: float,
-            slack1: float, slack2: float) -> HjbSolution:
+def _finish(params: ModelParams, alpha: float, beta: float, case: StrategyCase,
+            g: dict[str, float], mu: float, slack1: float, slack2: float) -> HjbSolution:
     shift = min(g.values())
-    valid = slack1 >= -DEGENERATE_SLACK and slack2 >= -DEGENERATE_SLACK
-    degenerate = abs(slack1) <= DEGENERATE_SLACK or abs(slack2) <= DEGENERATE_SLACK
+    lo, hi = _interval(case, *_thresholds(params, alpha, beta))
+    tol = DEGENERATE_SLACK * params.k_I
     return HjbSolution(
         case=case,
         g_DI=g["DI"] - shift, g_DS=g["DS"] - shift,
         g_UI=g["UI"] - shift, g_US=g["US"] - shift,
-        mu=mu, valid=valid, degenerate=degenerate,
+        mu=mu, valid=lo <= params.kappa <= hi,
+        degenerate=abs(slack1) <= tol or abs(slack2) <= tol,
         slack1=slack1, slack2=slack2,
         control=CASE_CONTROLS[case],
     )
@@ -143,8 +154,9 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
     """Closed-form (g, mu) for one strategy case at a frozen state x.
 
     The returned solution always satisfies the fixed-control linear system;
-    ``valid`` reports whether the case's control attains the minimum in
-    every line, with the signed margins in ``slack1``/``slack2``.
+    ``valid`` reports whether the case's interval holds kappa, that is
+    whether its control attains the minimum in every line, with the signed
+    margins in ``slack1``/``slack2``.
     """
     alpha, beta = alpha_beta(params, x)
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
@@ -159,7 +171,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
         g_DS = (k_D - mu) / lam + k_I * alpha * (beta + lam + q_U) / den2
         g_DI = (k_D - mu) / lam + k_I * (alpha + lam) * (beta + lam + q_U) / den2
         g = {"DI": g_DI, "DS": g_DS, "UI": g_UI, "US": 0.0}
-        return _finish(case, g, mu, g_DI - g_UI, g_DS - 0.0)
+        return _finish(params, alpha, beta, case, g, mu, g_DI - g_UI, g_DS - 0.0)
 
     if case is StrategyCase.PREFER_DEFENDED:
         den = _check_denominator(alpha + q_D, "alpha + q_rec_D")
@@ -170,7 +182,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
         g_US = -k_D / lam + k_I * (beta * (lam + q_D) - alpha * (lam + q_U)) / den2
         g_UI = -k_D / lam + k_I * ((beta + lam) * (lam + q_D) - alpha * q_U) / den2
         g = {"DI": g_DI, "DS": 0.0, "UI": g_UI, "US": g_US}
-        return _finish(case, g, mu, g_UI - g_DI, g_US - 0.0)
+        return _finish(params, alpha, beta, case, g, mu, g_UI - g_DI, g_US - 0.0)
 
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
         den = _check_denominator(
@@ -183,7 +195,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
                 - k_D * (beta + lam + q_U) * (alpha + lam + q_D)) / (lam * den)
         mu = (k_I * alpha * (beta + lam + q_U) + k_D * q_U * (alpha + lam + q_D)) / den
         g = {"DI": g_DI, "DS": 0.0, "UI": g_UI, "US": g_US}
-        return _finish(case, g, mu, g_DI - g_UI, g_US - 0.0)
+        return _finish(params, alpha, beta, case, g, mu, g_DI - g_UI, g_US - 0.0)
 
     if case is StrategyCase.DEFEND_INFECTED:
         den = _check_denominator(
@@ -196,7 +208,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
                 + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / (lam * den)
         mu = beta * g_UI
         g = {"DI": g_DI, "DS": g_DS, "UI": g_UI, "US": 0.0}
-        return _finish(case, g, mu, g_UI - g_DI, g_DS - 0.0)
+        return _finish(params, alpha, beta, case, g, mu, g_UI - g_DI, g_DS - 0.0)
 
     raise ValueError(f"unknown case {case!r}")
 
@@ -217,8 +229,9 @@ def bellman_residual(params: ModelParams, x: StateDist, sol: HjbSolution) -> flo
     return max(abs(v) for v in lines)
 
 
-def control_attains_min(sol: HjbSolution, tol: float = DEGENERATE_SLACK) -> bool:
-    """Whether the stored control picks the minimizing branch on every line."""
+def control_attains_min(sol: HjbSolution, tol: float) -> bool:
+    """Whether the stored control picks the minimizing branch on every line,
+    up to tol (DEGENERATE_SLACK*k_I on the scale of the costs)."""
     diffs = (
         (sol.control.u_DI, sol.g_UI - sol.g_DI),
         (sol.control.u_DS, sol.g_US - sol.g_DS),
@@ -277,29 +290,31 @@ def _least(n: float, d: float) -> float:
 
 
 def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
-    """All valid case solutions at x, sorted by average cost.
+    """The solutions of the cases whose ``case_interval`` holds kappa at x,
+    sorted by (mu, case label).
 
-    Distinct solutions never exceed two; in fact the validity bands in
-    kappa partition the half-line, so off case boundaries exactly one
-    case is valid (boundary hits return the coinciding solutions from the
-    adjacent cases, flagged degenerate).  More than two raises
+    Adjacent cases both hold at a shared interval end, with coinciding
+    solutions; where beta + q_rec_U = alpha + q_rec_D all four can (see
+    the module docstring).  More than two distinct solutions raises
     TooManySolutions.
     """
+    A, B, P, Q = _thresholds(params, *_alpha_beta(params, x.x_DI, x.x_UI))
+    kappa = params.kappa
     solutions = []
     for case in StrategyCase:
-        try:
-            sol = solve_case(params, x, case)
-        except DegenerateDenominator:
-            continue
-        if sol.valid:
-            solutions.append(sol)
+        lo, hi = _interval(case, A, B, P, Q)
+        if lo <= kappa <= hi:
+            try:
+                solutions.append(solve_case(params, x, case))
+            except DegenerateDenominator:
+                continue
     solutions.sort(key=lambda s: (s.mu, s.case.label))
-    if (n_distinct := len(_distinct(solutions))) > 2:
+    if (n_distinct := len(_distinct(solutions, DEGENERATE_SLACK * params.k_I))) > 2:
         raise TooManySolutions(f"{n_distinct} distinct valid solutions at {x}")
     return solutions
 
 
-def _distinct(solutions: list[HjbSolution], tol: float = 1e-9) -> list[HjbSolution]:
+def _distinct(solutions: list[HjbSolution], tol: float) -> list[HjbSolution]:
     """Solutions in order, dropping any equal within tol (mu and g) to an earlier one."""
     distinct: list[HjbSolution] = []
     for sol in solutions:
@@ -368,16 +383,16 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
             raise SingularSystem("non-finite solution of the fixed-control system")
     for i in np.where(~regular)[0]:
         z = np.linalg.lstsq(mats[i], rhs[i], rcond=None)[0]
-        residual = float(np.max(np.abs(mats[i] @ z - rhs[i])))
-        if residual <= 1e-8 * max(1.0, float(np.max(np.abs(rhs[i])))):
+        if np.max(np.abs(mats[i] @ z - rhs[i])) <= 1e-8 * np.max(np.abs(rhs[i])):
             sols[i] = z
 
+    tol = DEGENERATE_SLACK * params.k_I
     finite = np.isfinite(sols).all(axis=1)
     kept: list[HjbSolution] = []
     for i, u in enumerate(ALL_CONTROLS):
         if not finite[i]:
             continue
-        g_DI, g_DS, g_UI, g_US, mu = sols[i]
+        g_DI, g_DS, g_UI, g_US, mu = sols[i].tolist()
         diffs = (
             (u.u_DI, g_UI - g_DI),
             (u.u_DS, g_US - g_DS),
@@ -389,21 +404,21 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         for ub, diff in diffs:
             margin = -diff if ub == 1 else diff
             slacks.append(margin)
-            if margin < -DEGENERATE_SLACK:
+            if margin < -tol:
                 ok = False
                 break
         if not ok:
             continue
-        degenerate = any(abs(s) <= DEGENERATE_SLACK for s in slacks)
+        degenerate = any(abs(s) <= tol for s in slacks)
         shift = min(g_DI, g_DS, g_UI, g_US)
         slacks.sort()
         kept.append(HjbSolution(
             case=u.case,
             g_DI=g_DI - shift, g_DS=g_DS - shift,
             g_UI=g_UI - shift, g_US=g_US - shift,
-            mu=float(mu), valid=True, degenerate=degenerate,
+            mu=mu, valid=True, degenerate=degenerate,
             slack1=slacks[0], slack2=slacks[1],
             control=u,
         ))
 
-    return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")))
+    return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")), tol)

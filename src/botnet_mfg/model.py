@@ -137,32 +137,8 @@ class ModelParams:
         return self.q_rec_D - self.q_rec_U
 
     @property
-    def satisfies_base_assumptions(self) -> bool:
-        """Sign structure one expects of a defense system that works."""
-        return (
-            self.q_rec_D >= self.q_rec_U
-            and self.q_inf_D < self.q_inf_U
-            and self.beta_UD <= self.beta_UU
-            and self.beta_DD <= self.beta_DU
-            and self.k_D <= self.k_I
-        )
-
-    @property
-    def has_target_only_contact_rates(self) -> bool:
-        """Contact rates depend only on the susceptible side's defense level."""
-        return self.beta_DU == self.beta_UU and self.beta_UD == self.beta_DD
-
-    @property
     def has_equal_recovery_rates(self) -> bool:
         return self.q_rec_D == self.q_rec_U
-
-    @property
-    def satisfies_recovery_gap_bound(self) -> bool:
-        """Recovery gain from defense is smaller than the direct-infection gain.
-
-        Under this bound every population state sits in domain D1.
-        """
-        return self.delta < (self.q_inf_U - self.q_inf_D) * self.v_H
 
     def max_rate(self) -> float:
         return max(

@@ -129,16 +129,11 @@ def check_hjb_residuals(seed: int, trials: int) -> CheckResult:
     for _ in range(trials):
         params = random_params(rng)
         x = random_state(rng)
-        for case in StrategyCase:
-            try:
-                sol = hjb.solve_case(params, x, case)
-            except hjb.DegenerateDenominator:
-                continue
-            if not sol.valid:
-                continue
+        for sol in hjb.enumerate_hjb(params, x):
             checked += 1
             tol = hjb.RESIDUAL_SCALE * max(1.0, abs(sol.mu))
-            if hjb.bellman_residual(params, x, sol) > tol or not hjb.control_attains_min(sol):
+            if (hjb.bellman_residual(params, x, sol) > tol
+                    or not hjb.control_attains_min(sol, hjb.DEGENERATE_SLACK * params.k_I)):
                 failed += 1
     return CheckResult("hjb_residual", checked - failed, failed,
                        detail=f"{checked} valid solutions across {trials} draws")

@@ -65,6 +65,11 @@ class TestAgentCounts:
             counts = AgentCounts.from_dist(n, x)
             assert counts.total == n
 
+    @pytest.mark.parametrize("n_agents", [0, 10 ** 17, 10 ** 20])
+    def test_rounding_rejects_population_outside_exact_float_counts(self, n_agents):
+        with pytest.raises(ValueError, match="n_agents"):
+            AgentCounts.from_dist(n_agents, StateDist(0.0, 0.0, 0.3, 0.7))
+
     def test_exact_fractions_round_exactly(self):
         counts = AgentCounts.from_dist(10, StateDist(0.1, 0.2, 0.3, 0.4))
         assert counts.as_tuple() == (1, 2, 3, 4)

@@ -54,6 +54,16 @@ class TestHjbCommand:
         assert records[0]["case"] == "i"
         assert records[0]["valid"] is True
 
+    def test_tiny_costs_give_the_unit_cost_case(self, config_path, capsys):
+        # kappa = 0.7 as in the config, so the same single case i comes back
+        code, out, _ = run(capsys, "hjb", "--config", config_path,
+                           "--set", "k_D=0.7e-10", "--set", "k_I=1e-10",
+                           "--x", "0.1,0.4,0.2,0.3", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert [(r["case"], r["valid"], r["degenerate"]) for r in records] == [
+            ("i", True, False)]
+
     def test_invalid_simplex_exit_1(self, config_path, capsys):
         code, out, err = run(capsys, "hjb", "--config", config_path,
                              "--x", "0.5,0.5,0.5,0.5")

@@ -19,6 +19,7 @@ from botnet_mfg import (
 )
 from botnet_mfg import hjb
 from botnet_mfg.hjb import (
+    DEGENERATE_SLACK,
     TooManySolutions,
     bellman_residual,
     control_attains_min,
@@ -60,7 +61,7 @@ class TestSolveCase:
                 if sol.valid:
                     tol = 1e-10 * max(1.0, abs(sol.mu))
                     assert bellman_residual(params, x, sol) <= tol
-                    assert control_attains_min(sol)
+                    assert control_attains_min(sol, DEGENERATE_SLACK * params.k_I)
 
     def test_renormalized_to_zero_minimum(self, rng):
         for _ in range(200):
@@ -198,16 +199,55 @@ class TestEnumerate:
             assert th["B"] / th["P"] >= th["A"] / th["Q"] - 1e-12
 
     def test_three_distinct_solutions_raise(self, base_params, interior_state, monkeypatch):
-        # the invariant is an explicit check, so it also holds under python -O
-        real = hjb.solve_case
-
-        def three_valid(params, x, case):
-            index = list(StrategyCase).index(case)
-            return replace(real(params, x, case), valid=index < 3, mu=float(index))
-
-        monkeypatch.setattr(hjb, "solve_case", three_valid)
+        # the invariant is an explicit check, so it also holds under python -O;
+        # with every interval the whole line, four distinct solutions are priced
+        monkeypatch.setattr(hjb, "_interval", lambda *args: (-math.inf, math.inf))
         with pytest.raises(TooManySolutions):
             enumerate_hjb(base_params, interior_state)
+
+    def test_four_intervals_hold_where_recovery_totals_meet(self):
+        # equal rates on both sides give alpha = beta and equal recovery, so
+        # beta + q_rec_U = alpha + q_rec_D, A = B = 0 and P = Q: all four
+        # intervals hold at kappa = A/P = 0, and the four solutions coincide
+        params = ModelParams(
+            q_rec_D=1.0, q_rec_U=1.0, q_inf_D=1.0, q_inf_U=1.0,
+            beta_UU=2.0, beta_UD=2.0, beta_DU=2.0, beta_DD=2.0,
+            lam=10.0, v_H=1.0, k_D=0.0, k_I=1.0)
+        x = StateDist(0.1, 0.4, 0.2, 0.3)
+        th = case_thresholds(params, x)
+        assert (th["A"], th["B"], th["P"]) == (0.0, 0.0, th["Q"])
+        for case in StrategyCase:
+            lo, hi = case_interval(params, x, case)
+            assert lo <= params.kappa <= hi, case
+        sols = enumerate_hjb(params, x)
+        assert {s.case for s in sols} == set(StrategyCase)
+        for sol in sols[1:]:
+            assert sol.mu == pytest.approx(sols[0].mu, abs=1e-12)
+            assert np.allclose(sol.g_array(), sols[0].g_array(), rtol=0.0, atol=1e-12)
+        brute = oracle_enumerate(params, x)
+        assert len(brute) == 1
+        assert brute[0].mu == pytest.approx(sols[0].mu, abs=1e-12)
+        assert np.allclose(brute[0].g_array(), sols[0].g_array(), rtol=0.0, atol=1e-12)
+
+    def test_cost_scale_free(self, rng):
+        # g, mu and the slacks are linear in (k_D, k_I): scaling both by c
+        # keeps kappa, the cases and the flags, and scales the values by c
+        scales = (1e-10, 1e-3, 1.0, 1e3, 1e10)
+        for _ in range(300):
+            params = random_params(rng)
+            x = random_state(rng)
+            ref = {case: solve_case(params, x, case) for case in StrategyCase}
+            ref_cases = [s.case for s in enumerate_hjb(params, x)]
+            for c in scales:
+                scaled = replace(params, k_D=params.k_D * c, k_I=params.k_I * c)
+                assert [s.case for s in enumerate_hjb(scaled, x)] == ref_cases, (params, c)
+                for case, sol in ref.items():
+                    got = solve_case(scaled, x, case)
+                    assert (got.valid, got.degenerate) == (sol.valid, sol.degenerate)
+                    want = np.array([sol.mu, *sol.g_array()])
+                    err = np.abs(np.array([got.mu, *got.g_array()]) - c * want)
+                    assert np.max(err) <= 1e-12 * c * np.max(np.abs(want)), (params, c, case)
+                assert _oracle_matches(scaled, x, tol=1e-9 * c), (params, c)
 
 
 class TestOracle:
@@ -218,12 +258,23 @@ class TestOracle:
             assert _oracle_matches(params, x)
 
     def test_zero_costs_degenerate(self, base_params, interior_state):
+        # tolerances scale with k_I, so tiny costs give case ii, as k_I = 1 does
         params = replace(base_params, k_D=0.0, k_I=1e-300)
         sols = oracle_enumerate(params, interior_state)
-        assert len(sols) == 1
-        assert sols[0].degenerate
+        assert [s.case for s in sols] == [CASE_II]
+        assert not sols[0].degenerate
         assert sols[0].mu == pytest.approx(0.0, abs=1e-290)
         assert np.allclose(sols[0].g_array(), 0.0, atol=1e-290)
+
+    def test_fields_are_python_floats(self, rng):
+        names = ("g_DI", "g_DS", "g_UI", "g_US", "mu", "slack1", "slack2")
+        for _ in range(200):
+            params = random_params(rng)
+            x = random_state(rng)
+            sols = oracle_enumerate(params, x) + [solve_case(params, x, case)
+                                                  for case in StrategyCase]
+            for sol in sols:
+                assert all(type(getattr(sol, name)) is float for name in names), sol
 
     def test_count_bound(self, rng):
         for _ in range(500):
@@ -280,8 +331,9 @@ class TestCaseInterval:
                 lo, hi = case_interval(params, fp.x, case)
                 for kappa in kappas:
                     sol = solve_case(params.with_kappa(float(kappa)), fp.x, case)
-                    assert (lo <= kappa <= hi) == sol.valid, (params, case, kappa)
-                    checked += sol.valid
+                    holds = min(sol.slack1, sol.slack2) >= -1e-9 * params.k_I
+                    assert (lo <= kappa <= hi) == holds, (params, case, kappa)
+                    checked += holds
         assert checked > 1000
 
     def test_endpoints_converge_to_large_lambda_limits(self):
@@ -345,6 +397,7 @@ class TestCaseInterval:
                     sol = solve_case(params.with_kappa(kappa), x, case)
                 except DegenerateDenominator:
                     continue
-                assert (lo <= kappa <= hi) == sol.valid, (case, kappa)
+                holds = min(sol.slack1, sol.slack2) >= -1e-9 * params.k_I
+                assert (lo <= kappa <= hi) == holds, (case, kappa)
                 checked += 1
         assert checked > 0

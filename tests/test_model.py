@@ -40,16 +40,6 @@ class TestParams:
         assert base_params.kappa == 0.5
         assert base_params.delta == pytest.approx(0.2)
 
-    def test_base_assumptions_flag(self, base_params):
-        assert base_params.satisfies_base_assumptions
-        assert not replace(base_params, k_D=2.0).satisfies_base_assumptions
-        assert not replace(base_params, beta_UD=3.0).satisfies_base_assumptions
-
-    def test_recovery_gap_bound(self, base_params):
-        # gap 0.2 < (1.0 - 0.3) * 1.0
-        assert base_params.satisfies_recovery_gap_bound
-        assert not replace(base_params, q_rec_D=2.0).satisfies_recovery_gap_bound
-
     def test_config_roundtrip(self, base_params):
         text = base_params.to_config_text()
         assert "lambda = 10.0" in text
@@ -300,7 +290,7 @@ class TestClassifyDomain:
             q_rec_D=1.0, q_rec_U=1.0, q_inf_D=0.7, q_inf_U=1.0,
             beta_UU=4.0, beta_UD=1.0, beta_DU=4.0, beta_DD=1.0,
             lam=1.0, v_H=1.0, k_D=0.5, k_I=1.0)
-        assert params.has_target_only_contact_rates
+        assert params.beta_DU == params.beta_UU and params.beta_UD == params.beta_DD
         threshold = ((params.q_inf_D - params.q_inf_U) * params.v_H
                      + params.delta) / (params.beta_UU - params.beta_UD)
         assert threshold == pytest.approx(-0.1)
