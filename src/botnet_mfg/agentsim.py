@@ -121,6 +121,9 @@ class AgentCounts:
         order = sorted(range(4), key=lambda i: (base[i] - targets[i], i))
         for i in range(leftover):
             base[order[i]] += 1
+        # near 2**53 n*c can round up: take any excess from the smallest remainders
+        for i in [i for i in reversed(order) if base[i]][:max(-leftover, 0)]:
+            base[i] -= 1
         return cls(*base)
 
 

@@ -10,12 +10,13 @@
                             [--myopic-recompute interval|event]
     botnet-mfg validate     --seed S --trials N
 
-Parameters come from a flat key=value config file (see ModelParams), with
---set KEY=VALUE overrides.  Output is CSV (default) or JSON, to stdout or
---out; every command writes it through ``write``.  Exit codes: 0 success,
-1 validation failure, invalid input value, degenerate rates (thresholds)
-or unwritable output, 2 config parse error.  The parser is built once, at
-import, and reused by every ``main`` call.
+Parameters come from a flat key=value config file; each --set KEY=VALUE is
+one more line after it that may override or supply a key, and values are
+range-checked after the overrides.  Output is CSV (default) or JSON, to
+stdout or --out; every command writes it through ``write``.  Exit codes:
+0 success, 1 validation failure, invalid input or parameter value,
+degenerate rates (thresholds) or unwritable output, 2 config syntax error,
+missing key or unreadable config.  The parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from typing import Callable
 
 from . import agentsim, equilibrium, fixedpoint, hjb, validation
 from .model import (
-    CONFIG_KEYS,
     STATE_FIELDS,
-    _FIELD_BY_KEY,
     ControlVector,
     InvalidSimplex,
     ModelParams,
     StateDist,
     StrategyCase,
+    parse_config,
 )
 
 SWITCH_FIELDS = tuple(f.name for f in dataclasses.fields(agentsim.SwitchEvent))
@@ -107,34 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_params(args: argparse.Namespace) -> ModelParams:
-    values: dict[str, float] = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                params = ModelParams.from_config_text(fh.read())
-        except OSError as exc:
-            raise CliError("config_io_error", str(exc), exit_code=2) from exc
-        except ValueError as exc:  # includes UnicodeDecodeError
-            raise CliError("config_parse_error", str(exc), exit_code=2) from exc
-        values = {key: getattr(params, _FIELD_BY_KEY[key]) for key in CONFIG_KEYS}
-    for item in args.set:
-        key, sep, raw = item.partition("=")
-        key = key.strip()
-        if not sep or key not in _FIELD_BY_KEY:
-            raise CliError("config_parse_error",
-                           f"bad --set {item!r}; keys: {', '.join(CONFIG_KEYS)}",
-                           exit_code=2)
-        try:
-            values[key] = float(raw.strip())
-        except ValueError as exc:
-            raise CliError("config_parse_error", f"bad number in --set {item!r}",
-                           exit_code=2) from exc
-    missing = [key for key in CONFIG_KEYS if key not in values]
-    if missing:
-        raise CliError("config_parse_error",
-                       f"missing parameters: {', '.join(missing)}", exit_code=2)
+    lines: list[str] = []
     try:
-        return ModelParams(**{_FIELD_BY_KEY[k]: v for k, v in values.items()})
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        fields = parse_config(lines, args.set)
+    except OSError as exc:
+        raise CliError("config_io_error", str(exc), exit_code=2) from exc
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise CliError("config_parse_error", str(exc), exit_code=2) from exc
+    try:
+        return ModelParams(**fields)
     except ValueError as exc:
         raise CliError("invalid_params", str(exc)) from exc
 

@@ -110,7 +110,7 @@ def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equil
     if not found:
         return []
     mu_min = min(item[2].mu for item in found)
-    tie = EFFICIENCY_TIE_TOL * max(1.0, abs(mu_min))
+    tie = EFFICIENCY_TIE_TOL * max(params.k_I, abs(mu_min))
     out = [
         Equilibrium(x=x, case=case, control=sol.control, hjb=sol,
                     fixed_point=fp, efficient=sol.mu <= mu_min + tie)

@@ -160,27 +160,39 @@ class ModelParams:
 
     @classmethod
     def from_config_text(cls, text: str) -> "ModelParams":
-        values: dict[str, float] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_BY_KEY:
-                raise ValueError(f"line {lineno}: unknown parameter {key!r}")
-            if key in values:
-                raise ValueError(f"line {lineno}: duplicate parameter {key!r}")
-            try:
-                values[key] = float(value.strip())
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad number for {key!r}") from exc
-        missing = [key for key in CONFIG_KEYS if key not in values]
-        if missing:
-            raise ValueError(f"missing parameters: {', '.join(missing)}")
-        return cls(**{_FIELD_BY_KEY[key]: values[key] for key in CONFIG_KEYS})
+        return cls(**parse_config(text.splitlines()))
+
+
+def parse_config(lines: Iterable[str], overrides: Iterable[str] = ()) -> dict[str, float]:
+    """ModelParams field values from ``key = value`` lines (``#`` comments),
+    then from each override as one more line that must hold one assignment;
+    a later line wins, but a key may appear only once in ``lines``.  Syntax
+    errors and missing keys raise ValueError; ModelParams checks ranges.
+    """
+    values: dict[str, float] = {}
+    entries = [(f"line {n}", raw, False) for n, raw in enumerate(lines, start=1)]
+    entries += [(f"override {item!r}", item, True) for item in overrides]
+    for where, raw, override in entries:
+        line = raw.split("#", 1)[0].strip()
+        if not line and not override:
+            continue
+        if line.count("=") != 1:
+            raise ValueError(f"{where}: expected one 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELD_BY_KEY:
+            raise ValueError(f"{where}: unknown parameter {key!r}")
+        field = _FIELD_BY_KEY[key]
+        if field in values and not override:
+            raise ValueError(f"{where}: duplicate parameter {key!r}")
+        try:
+            values[field] = float(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad number for {key!r}") from exc
+    missing = [key for key in CONFIG_KEYS if _FIELD_BY_KEY[key] not in values]
+    if missing:
+        raise ValueError(f"missing parameters: {', '.join(missing)}")
+    return values
 
 
 # exact external key set; "lambda" is a keyword, hence the lam field

@@ -65,6 +65,25 @@ class TestAgentCounts:
             counts = AgentCounts.from_dist(n, x)
             assert counts.total == n
 
+    def test_rounding_preserves_total_near_two_to_the_53(self):
+        # the products n*c round up here and the floors sum to n + 1
+        n = 7444312577870816
+        x = StateDist(0.2373721850385354, 0.6021620526884818,
+                      0.027603021929907046, 0.13286274034307588)
+        assert AgentCounts.from_dist(n, x).total == n
+        rng = np.random.default_rng(0)
+        for _ in range(5000):
+            n = int(rng.integers(2 ** 50, 2 ** 53, endpoint=True))
+            x = StateDist.from_sequence(rng.dirichlet(np.ones(4)))
+            counts = AgentCounts.from_dist(n, x)
+            assert counts.total == n, (n, x)
+            for count, c in zip(counts.as_tuple(), x.as_tuple()):
+                assert abs(count - n * c) <= 1.0, (n, x)
+        # the excess is never taken from an empty state
+        x = StateDist(0.37410972163903494, 0.2958400775849636, 0.33005020077600156, 0.0)
+        counts = AgentCounts.from_dist(8268214169269468, x)
+        assert counts.total == 8268214169269468 and counts.n_US == 0
+
     @pytest.mark.parametrize("n_agents", [0, 10 ** 17, 10 ** 20])
     def test_rounding_rejects_population_outside_exact_float_counts(self, n_agents):
         with pytest.raises(ValueError, match="n_agents"):

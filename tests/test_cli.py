@@ -120,6 +120,36 @@ class TestConfigErrors:
         assert code == 1
         assert json.loads(err)["error"] == "invalid_params"
 
+    def test_set_supplies_a_key_missing_from_the_config(self, config_path, tmp_path,
+                                                        capsys):
+        path = tmp_path / "partial.cfg"
+        path.write_text(CONFIG.replace("k_I = 1.0\n", ""))
+        code, out, err = run(capsys, "thresholds", "--config", str(path),
+                             "--set", "k_I=1.0")
+        assert code == 0 and not err
+        assert run(capsys, "thresholds", "--config", config_path)[1] == out
+
+    @pytest.mark.parametrize("line", ["lambda = 2000.0", "k_I = 1.0"])
+    def test_invalid_config_value_exit_1_unless_set_fixes_it(self, line, tmp_path,
+                                                             capsys):
+        key = line.split()[0]
+        path = tmp_path / "zero.cfg"
+        path.write_text(CONFIG.replace(line, f"{key} = 0"))
+        code, _, err = run(capsys, "thresholds", "--config", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "invalid_params"
+        code, _, err = run(capsys, "thresholds", "--config", str(path),
+                           "--set", line.replace(" ", ""))
+        assert code == 0 and not err
+
+    @pytest.mark.parametrize("item", ["k_I", "k_X=1", "", "k_I=1=2", "k_I=1 k_D=2",
+                                      "k_I=1,k_D=0.5", "k_I=x"])
+    def test_bad_set_item_exit_2(self, item, config_path, capsys):
+        code, _, err = run(capsys, "thresholds", "--config", config_path,
+                           "--set", item)
+        assert code == 2
+        assert json.loads(err)["error"] == "config_parse_error"
+
 
 class TestCommands:
     def test_equilibria(self, config_path, capsys):

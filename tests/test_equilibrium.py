@@ -72,7 +72,21 @@ class TestSolveMfg:
             if eqs:
                 mu_min = mus[0]
                 for e in eqs:
-                    assert e.efficient == (e.mu <= mu_min + 1e-12 * max(1.0, abs(mu_min)))
+                    assert e.efficient == (e.mu <= mu_min + 1e-12 * max(params.k_I, abs(mu_min)))
+
+    def test_cost_scale_free(self):
+        # mu is linear in (k_D, k_I): scaling both by c keeps kappa, the
+        # equilibria and the efficient flags, and scales mu by c
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            params = random_params(rng)
+            ref = solve_mfg(params)
+            for c in (1e-12, 1e-10, 1e-3, 1.0, 1e3, 1e10):
+                got = solve_mfg(replace(params, k_D=params.k_D * c, k_I=params.k_I * c))
+                assert [(e.case, e.efficient) for e in got] == [
+                    (e.case, e.efficient) for e in ref], (params, c)
+                for e, r in zip(got, ref):
+                    assert abs(e.mu - c * r.mu) <= 1e-12 * c * max(1.0, abs(r.mu))
 
     def test_unique_case_i_above_threshold(self):
         params = regime_one_params()

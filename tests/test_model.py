@@ -56,6 +56,8 @@ class TestParams:
             ModelParams.from_config_text("bogus = 1\n")
         with pytest.raises(ValueError, match="missing"):
             ModelParams.from_config_text("q_rec_D = 1\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            ModelParams.from_config_text("k_I = 1\nk_I = 2\n")
 
     def test_config_key_set_is_exact(self):
         assert CONFIG_KEYS == (
