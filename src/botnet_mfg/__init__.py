@@ -6,14 +6,12 @@ from .model import (
     CONFIG_KEYS,
     ControlVector,
     Domain,
-    DomainInfo,
     EffectiveRates,
     InvalidSimplex,
     ModelParams,
     StateDist,
     StepTooLarge,
     StrategyCase,
-    Subdomain,
     alpha_beta,
     classify_domain,
     integrate,
@@ -63,10 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentCounts", "AssumptionViolation", "BifurcationReport", "CONFIG_KEYS",
     "ControlVector", "DegenerateDenominator", "DenominatorPole",
-    "DeviationStats", "Domain", "DomainInfo", "EffectiveRates", "Equilibrium",
-    "FixedPoint", "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
-    "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "Subdomain",
-    "SweepRow", "TooManySolutions", "Trajectory", "alpha_beta",
+    "DeviationStats", "Domain", "EffectiveRates", "Equilibrium", "FixedPoint",
+    "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
+    "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "SweepRow",
+    "TooManySolutions", "Trajectory", "alpha_beta",
     "case_interval", "classify_domain", "compare_ode", "enumerate_hjb",
     "fixed_point_acyclic", "fixed_point_mixed", "fixed_point_mixed_asymptotic",
     "integrate", "kappa_of", "kappa_thresholds", "kinetic_jacobian",

@@ -182,9 +182,6 @@ class Trajectory:
     switches: list[SwitchEvent] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def dist_at(self, i: int) -> StateDist:
-        return StateDist.from_sequence(self.states[i])
-
 
 def rate_table(params: ModelParams, n_agents: int,
                u: ControlVector) -> RateTable:
@@ -419,7 +416,7 @@ def _ode_states(params: ModelParams, traj: Trajectory, u: ControlVector) -> np.n
     # integrate takes ceil(horizon / step) steps of horizon / that count;
     # ceil(horizon / (horizon / n_steps)) can round one past n_steps, so
     # pass a step strictly between horizon / n_steps and horizon / (n_steps - 1)
-    path = integrate(params, traj.dist_at(0), u, horizon,
+    path = integrate(params, StateDist.from_sequence(traj.states[0]), u, horizon,
                      step=horizon / (n_steps - 0.5), sample_every=substeps)
     return np.array([state.as_array() for _, state in path])
 

@@ -187,7 +187,7 @@ def cmd_hjb(args: argparse.Namespace) -> int:
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
     points = equilibrium.stationary_points(load_params(args))
-    return write(args, fixedpoint.CSV_FIELDS, lambda: [fp.to_record() for _, fp in points])
+    return write(args, fixedpoint.CSV_FIELDS, lambda: [fp.to_record() for fp in points])
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:

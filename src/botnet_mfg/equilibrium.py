@@ -30,7 +30,7 @@ from .model import (
 )
 
 EFFICIENCY_TIE_TOL = 1e-12
-Bracketed = tuple[StrategyCase, fp_mod.FixedPoint, float, float]
+Bracketed = tuple[fp_mod.FixedPoint, float, float]
 
 
 class AssumptionViolation(ValueError):
@@ -39,14 +39,27 @@ class AssumptionViolation(ValueError):
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """A consistent (state, control, values, cost) tuple with stability."""
+    """A stationary point paired with its case's valid Bellman solution.
 
-    x: StateDist
-    case: StrategyCase
-    control: ControlVector
+    The state and case are the fixed point's, the control and cost the
+    Bellman solution's; ``efficient`` marks the cheapest equilibria.
+    """
+
     hjb: hjb_mod.HjbSolution
     fixed_point: fp_mod.FixedPoint
     efficient: bool
+
+    @property
+    def x(self) -> StateDist:
+        return self.fixed_point.x
+
+    @property
+    def case(self) -> StrategyCase:
+        return self.fixed_point.case
+
+    @property
+    def control(self) -> ControlVector:
+        return self.hjb.control
 
     @property
     def mu(self) -> float:
@@ -72,22 +85,23 @@ EQUILIBRIUM_CSV_FIELDS = (
 )
 
 
-def _case_fixed_points(params: ModelParams, case: StrategyCase) -> list[fp_mod.FixedPoint]:
-    if case in (StrategyCase.PREFER_UNPROTECTED, StrategyCase.PREFER_DEFENDED):
-        return [fp_mod.fixed_point_acyclic(params, case)]
-    return fp_mod.fixed_point_mixed(params, case)
-
-
-def stationary_points(params: ModelParams) -> list[tuple[StrategyCase, fp_mod.FixedPoint]]:
-    """(case, point) for every stationary point; k_D and k_I do not enter
-    the kinetic dynamics, so these are the same for every kappa."""
-    return [(case, fp) for case in StrategyCase for fp in _case_fixed_points(params, case)]
+def stationary_points(params: ModelParams) -> list[fp_mod.FixedPoint]:
+    """Every stationary point, case by case in StrategyCase order; each
+    point carries its case.  k_D and k_I do not enter the kinetic
+    dynamics, so these are the same for every kappa."""
+    points = []
+    for case in StrategyCase:
+        if case in (StrategyCase.PREFER_UNPROTECTED, StrategyCase.PREFER_DEFENDED):
+            points.append(fp_mod.fixed_point_acyclic(params, case))
+        else:
+            points.extend(fp_mod.fixed_point_mixed(params, case))
+    return points
 
 
 def _bracketed_points(params: ModelParams) -> list[Bracketed]:
     """Every stationary point with its case's exact kappa interval; neither depends on kappa."""
-    return [(case, fp, *hjb_mod.case_interval(params, fp.x, case))
-            for case, fp in stationary_points(params)]
+    return [(fp, *hjb_mod.case_interval(params, fp.x, fp.case))
+            for fp in stationary_points(params)]
 
 
 def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equilibrium]:
@@ -97,25 +111,22 @@ def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equil
     only those points are priced with their case's Bellman solution.  An
     empty list is a legal outcome inside a bifurcation gap.
     """
-    found: list[tuple[StateDist, StrategyCase, hjb_mod.HjbSolution, fp_mod.FixedPoint]] = []
-    for case, fp, lo, hi in points:
+    found: list[tuple[hjb_mod.HjbSolution, fp_mod.FixedPoint]] = []
+    for fp, lo, hi in points:
         if not lo <= params.kappa <= hi:
             continue
         try:
-            sol = hjb_mod.solve_case(params, fp.x, case)
+            sol = hjb_mod.solve_case(params, fp.x, fp.case)
         except hjb_mod.DegenerateDenominator:
             continue
-        found.append((fp.x, case, sol, fp))
+        found.append((sol, fp))
 
     if not found:
         return []
-    mu_min = min(item[2].mu for item in found)
+    mu_min = min(sol.mu for sol, _ in found)
     tie = EFFICIENCY_TIE_TOL * max(params.k_I, abs(mu_min))
-    out = [
-        Equilibrium(x=x, case=case, control=sol.control, hjb=sol,
-                    fixed_point=fp, efficient=sol.mu <= mu_min + tie)
-        for (x, case, sol, fp) in found
-    ]
+    out = [Equilibrium(hjb=sol, fixed_point=fp, efficient=sol.mu <= mu_min + tie)
+           for sol, fp in found]
     out.sort(key=lambda e: (e.mu, e.case.label))
     return out
 
@@ -218,9 +229,9 @@ def kappa_thresholds(params: ModelParams) -> BifurcationReport:
         kappa_bar_star = None
 
     domains = {
-        "x_star_UI": classify_domain(params, fp_i.x).domain.value,
-        "x_star_DI": classify_domain(params, fp_ii.x).domain.value,
-        "x_bar_star_UI": classify_domain(params, fp_iii.x).domain.value,
+        "x_star_UI": classify_domain(params, fp_i.x).value,
+        "x_star_DI": classify_domain(params, fp_ii.x).value,
+        "x_bar_star_UI": classify_domain(params, fp_iii.x).value,
     }
     return BifurcationReport(
         kappa_star=kappa_star,
@@ -280,7 +291,7 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
     if steps < 2:
         raise ValueError("steps must be >= 2")
     points = _bracketed_points(params)
-    ends = [end for _, _, lo, hi in points if lo <= hi
+    ends = [end for _, lo, hi in points if lo <= hi
             for end in (lo, hi) if math.isfinite(end)]
     step = (kappa_max - kappa_min) / (steps - 1)
     kappas = np.linspace(kappa_min, kappa_max, steps).tolist()

@@ -82,18 +82,6 @@ class Domain(Enum):
     BOUNDARY = "Boundary"
 
 
-class Subdomain(Enum):
-    DJ1 = "Dj1"
-    DJ2 = "Dj2"
-    BOUNDARY = "Boundary"
-
-
-@dataclass(frozen=True)
-class DomainInfo:
-    domain: Domain
-    subdomain: Subdomain
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All rate and cost constants of the model.
@@ -435,28 +423,15 @@ def integrate(
     return trajectory
 
 
-def classify_domain(params: ModelParams, x: StateDist) -> DomainInfo:
+def classify_domain(params: ModelParams, x: StateDist) -> Domain:
     """Which solution domain a population state belongs to.
 
     D1 holds where beta + q_rec_U > alpha + q_rec_D (unprotected machines
     both catch the infection faster and shed it slower, net); D2 is the
-    reverse.  The subdomain compares delta/(alpha+q_rec_D) against
-    (beta-alpha)/(beta+q_rec_U).
+    reverse; Boundary is a gap within DOMAIN_BOUNDARY_TOL of zero.
     """
     alpha, beta = alpha_beta(params, x)
     gap = (beta + params.q_rec_U) - (alpha + params.q_rec_D)
     if abs(gap) <= DOMAIN_BOUNDARY_TOL:
-        domain = Domain.BOUNDARY
-    elif gap > 0.0:
-        domain = Domain.D1
-    else:
-        domain = Domain.D2
-
-    sub_gap = (beta - alpha) * (alpha + params.q_rec_D) - params.delta * (beta + params.q_rec_U)
-    if abs(sub_gap) <= DOMAIN_BOUNDARY_TOL:
-        subdomain = Subdomain.BOUNDARY
-    elif sub_gap > 0.0:
-        subdomain = Subdomain.DJ1
-    else:
-        subdomain = Subdomain.DJ2
-    return DomainInfo(domain, subdomain)
+        return Domain.BOUNDARY
+    return Domain.D1 if gap > 0.0 else Domain.D2

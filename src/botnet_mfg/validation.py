@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
+    _rhs_components,
     alpha_beta,
     kinetic_jacobian,
     kinetic_rhs,
@@ -187,20 +188,14 @@ def check_jacobian(seed: int, trials: int) -> CheckResult:
             up, down = base.copy(), base.copy()
             up[j] += h
             down[j] -= h
-            f_up = np.array(_raw_rhs(params, up, u))
-            f_down = np.array(_raw_rhs(params, down, u))
+            # the raw components: finite differences step off the simplex
+            f_up = np.array(_rhs_components(params, *up, u))
+            f_down = np.array(_rhs_components(params, *down, u))
             fd[:, j] = (f_up - f_down) / (2.0 * h)
         scale = max(1.0, float(np.max(np.abs(jac))))
         if float(np.max(np.abs(jac - fd))) > 1e-5 * scale:
             failed += 1
     return CheckResult("jacobian_finite_difference", trials - failed, failed)
-
-
-def _raw_rhs(params: ModelParams, comps: np.ndarray, u: ControlVector):
-    # bypass simplex validation: finite differences step off the simplex
-    from .model import _rhs_components
-
-    return _rhs_components(params, *comps, u)
 
 
 def check_fixed_points(seed: int, trials: int) -> CheckResult:

@@ -101,7 +101,7 @@ def test_criterion_3_uniqueness_equal_recovery():
         lam = float(rng.choice(LAMBDAS))
         params = random_params(rng, lam=lam, equal_recovery=True)
         x = random_state(rng)
-        if classify_domain(params, x).domain is not Domain.D1:
+        if classify_domain(params, x) is not Domain.D1:
             continue
         sols = enumerate_hjb(params, x)
         if any(s.degenerate for s in sols):

@@ -175,6 +175,18 @@ class TestCommands:
         report = json.loads(out)
         assert report["kappa_star"] == pytest.approx(0.636271, abs=1e-5)
 
+    def test_thresholds_on_the_domain_boundary(self, config_path, capsys):
+        # equal infection and contact rates with equal recoveries: alpha == beta
+        # and q_rec_D == q_rec_U, so every fixed point sits on the boundary
+        boundary = ("q_inf_D=0.8", "q_inf_U=0.8", "beta_UU=2.0", "beta_UD=2.0",
+                    "beta_DU=2.0", "beta_DD=2.0", "lambda=50", "k_D=0.3")
+        sets = [arg for item in boundary for arg in ("--set", item)]
+        code, out, _ = run(capsys, "thresholds", "--config", config_path, *sets,
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["domains"] == dict.fromkeys(
+            ("x_star_UI", "x_star_DI", "x_bar_star_UI"), "Boundary")
+
     def test_sweep_csv_header(self, config_path, capsys):
         code, out, _ = run(capsys, "sweep", "--config", config_path,
                            "--kappa-min", "0.45", "--kappa-max", "0.72",

@@ -96,7 +96,7 @@ class TestEnumerate:
         for _ in range(500):
             params = random_params(rng, equal_recovery=True)
             x = random_state(rng)
-            if classify_domain(params, x).domain is not Domain.D1:
+            if classify_domain(params, x) is not Domain.D1:
                 continue
             sols = enumerate_hjb(params, x)
             if any(s.degenerate for s in sols):
@@ -175,7 +175,7 @@ class TestEnumerate:
             params = random_params(rng)
             x = random_state(rng)
             sols = {case: solve_case(params, x, case) for case in StrategyCase}
-            domain = classify_domain(params, x).domain
+            domain = classify_domain(params, x)
 
             def strict(case):
                 return min(sols[case].slack1, sols[case].slack2) > 1e-9
@@ -327,12 +327,12 @@ class TestCaseInterval:
         checked = 0
         for i in range(60):
             params = random_params(rng, lam=lams[i % 5], equal_recovery=bool(i % 2))
-            for case, fp in stationary_points(params):
-                lo, hi = case_interval(params, fp.x, case)
+            for fp in stationary_points(params):
+                lo, hi = case_interval(params, fp.x, fp.case)
                 for kappa in kappas:
-                    sol = solve_case(params.with_kappa(float(kappa)), fp.x, case)
+                    sol = solve_case(params.with_kappa(float(kappa)), fp.x, fp.case)
                     holds = min(sol.slack1, sol.slack2) >= -1e-9 * params.k_I
-                    assert (lo <= kappa <= hi) == holds, (params, case, kappa)
+                    assert (lo <= kappa <= hi) == holds, (params, fp.case, kappa)
                     checked += holds
         assert checked > 1000
 

@@ -13,7 +13,6 @@ from botnet_mfg import (
     ModelParams,
     StateDist,
     StrategyCase,
-    Subdomain,
     alpha_beta,
     classify_domain,
     integrate,
@@ -281,9 +280,8 @@ class TestClassifyDomain:
             params = random_params(rng, equal_recovery=True)
             x = random_state(rng)
             alpha, beta = alpha_beta(params, x)
-            info = classify_domain(params, x)
             if beta > alpha + 1e-9:
-                assert info.domain is Domain.D1
+                assert classify_domain(params, x) is Domain.D1
 
     def test_target_only_contact_rates_threshold(self):
         # with two contact levels the domain condition is a threshold on the
@@ -298,24 +296,23 @@ class TestClassifyDomain:
         assert threshold == pytest.approx(-0.1)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            assert classify_domain(params, random_state(rng)).domain is Domain.D1
+            assert classify_domain(params, random_state(rng)) is Domain.D1
 
     def test_equal_rates_with_positive_delta_is_d2(self, base_params):
         # alpha == beta forces the recovery gap to decide
         params = replace(base_params, q_inf_D=1.0, q_inf_U=1.0,
                          beta_UU=1.0, beta_UD=1.0, beta_DU=1.0, beta_DD=1.0)
         assert params.delta > 0.0
-        info = classify_domain(params, StateDist(0.1, 0.4, 0.2, 0.3))
-        assert info.domain is Domain.D2
+        assert classify_domain(params, StateDist(0.1, 0.4, 0.2, 0.3)) is Domain.D2
 
-    def test_subdomain_tracks_domain(self, rng):
-        # the subdomain inequality is algebraically equivalent to the domain
-        # comparison whenever alpha + q_rec_U > 0
-        for _ in range(500):
-            params = random_params(rng)
+    def test_equal_rates_and_recoveries_are_on_the_boundary(self, rng):
+        # alpha == beta at every state and q_rec_D == q_rec_U, so the gap is exactly 0
+        params = ModelParams(
+            q_rec_D=1.0, q_rec_U=1.0, q_inf_D=0.8, q_inf_U=0.8,
+            beta_UU=2.0, beta_UD=2.0, beta_DU=2.0, beta_DD=2.0,
+            lam=50.0, v_H=1.0, k_D=0.3, k_I=1.0)
+        for _ in range(100):
             x = random_state(rng)
-            info = classify_domain(params, x)
-            if info.domain is Domain.D1:
-                assert info.subdomain is Subdomain.DJ1
-            elif info.domain is Domain.D2:
-                assert info.subdomain is Subdomain.DJ2
+            alpha, beta = alpha_beta(params, x)
+            assert alpha == beta
+            assert classify_domain(params, x) is Domain.BOUNDARY
