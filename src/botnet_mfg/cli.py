@@ -15,7 +15,7 @@ one more line after it that may override or supply a key, and values are
 range-checked after the overrides.  Output is CSV (default) or JSON, to
 stdout or --out; every command writes it through ``write``.  Exit codes:
 0 success, 1 validation failure, invalid input or parameter value,
-degenerate rates (thresholds) or unwritable output, 2 config syntax error,
+degenerate rates (a solver failure) or unwritable output, 2 config syntax error,
 missing key or unreadable config.  The parser is built once, at import.
 """
 
@@ -25,7 +25,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Callable
+from typing import Any, Callable
+
+import numpy as np
 
 from . import agentsim, equilibrium, fixedpoint, hjb, validation
 from .model import (
@@ -180,28 +182,38 @@ def write(args: argparse.Namespace, fields: tuple[str, ...],
     return 0
 
 
+def solved(compute: Callable[..., Any], *args) -> Any:
+    """Run a solver call, reporting its failure as degenerate_rates.
+
+    A vanishing denominator or rates past the float range fail as an
+    ArithmeticError or a ValueError.  numpy's float warnings are off, so
+    stderr holds only the error record.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return compute(*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise CliError("degenerate_rates", str(exc)) from exc
+
+
 def cmd_hjb(args: argparse.Namespace) -> int:
-    solutions = hjb.enumerate_hjb(load_params(args), parse_state(args.x))
+    solutions = solved(hjb.enumerate_hjb, load_params(args), parse_state(args.x))
     return write(args, hjb.CSV_FIELDS, lambda: [sol.to_record() for sol in solutions])
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
-    points = equilibrium.stationary_points(load_params(args))
+    points = solved(equilibrium.stationary_points, load_params(args))
     return write(args, fixedpoint.CSV_FIELDS, lambda: [fp.to_record() for fp in points])
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
-    eqs = equilibrium.solve_mfg(load_params(args))
+    eqs = solved(equilibrium.solve_mfg, load_params(args))
     return write(args, equilibrium.EQUILIBRIUM_CSV_FIELDS,
                  lambda: [eq.to_record() for eq in eqs])
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    params = load_params(args)
-    try:
-        report = equilibrium.kappa_thresholds(params).to_record()
-    except hjb.DegenerateDenominator as exc:
-        raise CliError("degenerate_rates", str(exc)) from exc
+    report = solved(equilibrium.kappa_thresholds, load_params(args)).to_record()
     flat = {key: value for key, value in report.items() if key != "domains"}
     flat.update((f"domain_{key}", value) for key, value in report["domains"].items())
     return write(args, tuple(flat), lambda: [flat], lambda: report)
@@ -210,9 +222,10 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = load_params(args)
     try:
-        rows = equilibrium.sweep_kappa(params, args.kappa_min, args.kappa_max, args.steps)
+        equilibrium.check_sweep(args.kappa_min, args.kappa_max, args.steps)
     except ValueError as exc:
         raise CliError("invalid_sweep", str(exc)) from exc
+    rows = solved(equilibrium.sweep_kappa, params, args.kappa_min, args.kappa_max, args.steps)
     return write(args, equilibrium.SWEEP_CSV_FIELDS,
                  lambda: [r.to_csv_record() for r in rows],
                  lambda: [r.to_record() for r in rows])

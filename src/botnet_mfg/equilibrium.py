@@ -274,6 +274,14 @@ SWEEP_CSV_FIELDS = (
 )
 
 
+def check_sweep(kappa_min: float, kappa_max: float, steps: int) -> None:
+    """Raise ValueError unless 0 <= kappa_min < kappa_max < inf and steps >= 2."""
+    if not (0.0 <= kappa_min < kappa_max < math.inf):
+        raise ValueError("need finite 0 <= kappa_min < kappa_max")
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+
+
 def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
                 steps: int) -> list[SweepRow]:
     """Equilibrium structure along a kappa grid, k_I held fixed.
@@ -286,10 +294,7 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
     kappa as membership sees it).  Membership changes only at those ends,
     so the count never changes between two untagged neighbours.
     """
-    if not (0.0 <= kappa_min < kappa_max < math.inf):
-        raise ValueError("need finite 0 <= kappa_min < kappa_max")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    check_sweep(kappa_min, kappa_max, steps)
     points = _bracketed_points(params)
     ends = [end for _, lo, hi in points if lo <= hi
             for end in (lo, hi) if math.isfinite(end)]

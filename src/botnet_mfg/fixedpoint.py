@@ -7,13 +7,15 @@ Acyclic cases collapse to a scalar endemic-equilibrium quadratic
                                            b = within-group contact rate,
 
 whose unique root in (0, 1) gives the infected fraction.  The mixed cases
-reduce to a quartic in x_DI whose roots on [0, 1] are isolated exactly:
+reduce to a quartic in x_DI whose roots on [0, 1] are isolated in floats:
 the critical points, found recursively, cut [0, 1] into monotone pieces,
 each bisected and Newton-polished; for large lam they collapse back to a
-quadratic of the same shape.  Case iv is the mirror image of case iii
-under the relabeling that swaps the defended and unprotected sides: it
-reuses the case-iii states of the relabeled problem, swapped back.  A
-spectrum is computed only for a point that is returned.
+quadratic of the same shape.  The count can be wrong where a knot value is
+zero to within ROOT_ZERO_TOL, as for two roots about 1e-7 apart.  Case iv
+is the mirror image of case iii under the relabeling that swaps the
+defended and unprotected sides: it reuses the case-iii states of the
+relabeled problem, swapped back.  A spectrum is computed only for a
+point that is returned.
 """
 
 from __future__ import annotations
@@ -250,9 +252,10 @@ def _bisect(cs: tuple[float, ...], dcs: tuple[float, ...],
 def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoint]:
     """All stationary points of a mixed case at finite lam.
 
-    Case iii isolates every root of the quartic on [0, 1] exactly (see
-    bracket_roots); case iv takes the case-iii states of the relabeled
-    problem and swaps their coordinates back.  Roots that cannot be
+    Case iii isolates the roots of the quartic on [0, 1] (bracket_roots;
+    the module docstring states its limit); case iv takes the case-iii
+    states of the relabeled problem and swaps their coordinates back.
+    Roots that cannot be
     reconstructed into a simplex point (including those at the
     back-substitution pole) are discarded, as are reconstructions whose
     kinetic residual exceeds the fixed-point tolerance; the spectrum is

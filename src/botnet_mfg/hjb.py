@@ -61,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    CASE_CONTROLS,
     ControlVector,
     ModelParams,
     StateDist,
@@ -100,14 +99,14 @@ class HjbSolution:
     """One candidate solution of the optimality system.
 
     g is renormalized so min(g) = 0 (relative values are defined up to an
-    additive constant).  ``slack1``/``slack2`` are the signed margins of
-    the case's two validity inequalities, measured as differences of g
-    values.  The case is ``valid`` when its ``case_interval`` holds kappa
-    and ``degenerate`` when either slack sits within DEGENERATE_SLACK*k_I
-    of zero.
+    additive constant).  ``slack1``/``slack2`` are the DI-line and DS-line
+    margins (``_margins``): for the four cases, their two validity
+    inequalities.  A closed-form case is ``valid`` when its
+    ``case_interval`` holds kappa; the oracle keeps only solutions with no
+    margin below -tol.  ``degenerate`` marks a margin within tol of zero,
+    tol = DEGENERATE_SLACK*k_I.
     """
 
-    case: StrategyCase | None
     g_DI: float
     g_DS: float
     g_UI: float
@@ -118,6 +117,10 @@ class HjbSolution:
     slack1: float
     slack2: float
     control: ControlVector
+
+    @property
+    def case(self) -> StrategyCase | None:
+        return self.control.case
 
     def g_array(self) -> np.ndarray:
         return np.array([self.g_DI, self.g_DS, self.g_UI, self.g_US])
@@ -134,19 +137,30 @@ def _check_denominator(value: float, what: str) -> float:
     return value
 
 
-def _finish(params: ModelParams, alpha: float, beta: float, case: StrategyCase,
-            g: dict[str, float], mu: float, slack1: float, slack2: float) -> HjbSolution:
-    shift = min(g.values())
-    lo, hi = _interval(case, *_thresholds(params, alpha, beta))
+def _margins(u: ControlVector, g_DI: float, g_DS: float, g_UI: float, g_US: float) -> tuple:
+    """The line margins in line order: g_self - g_partner where u toggles,
+    g_partner - g_self where not; u attains a line's min iff its margin >= 0."""
+    return (g_DI - g_UI if u.u_DI else g_UI - g_DI,
+            g_DS - g_US if u.u_DS else g_US - g_DS,
+            g_UI - g_DI if u.u_UI else g_DI - g_UI,
+            g_US - g_DS if u.u_US else g_DS - g_US)
+
+
+def _finish(params: ModelParams, u: ControlVector, g: tuple[float, float, float, float],
+            mu: float, valid: bool) -> HjbSolution:
+    """The one HjbSolution builder: margins of the raw g, then g shifted to min 0."""
+    g_DI, g_DS, g_UI, g_US = g
+    m_DI, m_DS, m_UI, m_US = _margins(u, g_DI, g_DS, g_UI, g_US)
     tol = DEGENERATE_SLACK * params.k_I
+    shift = min(g)
     return HjbSolution(
-        case=case,
-        g_DI=g["DI"] - shift, g_DS=g["DS"] - shift,
-        g_UI=g["UI"] - shift, g_US=g["US"] - shift,
-        mu=mu, valid=lo <= params.kappa <= hi,
-        degenerate=abs(slack1) <= tol or abs(slack2) <= tol,
-        slack1=slack1, slack2=slack2,
-        control=CASE_CONTROLS[case],
+        g_DI=g_DI - shift, g_DS=g_DS - shift, g_UI=g_UI - shift, g_US=g_US - shift,
+        mu=mu, valid=valid,
+        # each margin on its own: a NaN margin must not hide a zero one
+        degenerate=(abs(m_DI) <= tol or abs(m_DS) <= tol
+                    or abs(m_UI) <= tol or abs(m_US) <= tol),
+        slack1=m_DI, slack2=m_DS,
+        control=u,
     )
 
 
@@ -159,6 +173,8 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
     margins in ``slack1``/``slack2``.
     """
     alpha, beta = alpha_beta(params, x)
+    lo, hi = _interval(case, *_thresholds(params, alpha, beta))
+    u, valid = case.control, lo <= params.kappa <= hi
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
     k_D, k_I = params.k_D, params.k_I
 
@@ -170,8 +186,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
                                   "lam*(beta+q_rec_U)*(alpha+lam+q_rec_D)")
         g_DS = (k_D - mu) / lam + k_I * alpha * (beta + lam + q_U) / den2
         g_DI = (k_D - mu) / lam + k_I * (alpha + lam) * (beta + lam + q_U) / den2
-        g = {"DI": g_DI, "DS": g_DS, "UI": g_UI, "US": 0.0}
-        return _finish(params, alpha, beta, case, g, mu, g_DI - g_UI, g_DS - 0.0)
+        return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
 
     if case is StrategyCase.PREFER_DEFENDED:
         den = _check_denominator(alpha + q_D, "alpha + q_rec_D")
@@ -181,8 +196,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
                                   "lam*(alpha+q_rec_D)*(beta+lam+q_rec_U)")
         g_US = -k_D / lam + k_I * (beta * (lam + q_D) - alpha * (lam + q_U)) / den2
         g_UI = -k_D / lam + k_I * ((beta + lam) * (lam + q_D) - alpha * q_U) / den2
-        g = {"DI": g_DI, "DS": 0.0, "UI": g_UI, "US": g_US}
-        return _finish(params, alpha, beta, case, g, mu, g_UI - g_DI, g_US - 0.0)
+        return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
 
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
         den = _check_denominator(
@@ -194,23 +208,19 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
         g_UI = (k_I * ((lam + q_D) * (lam + beta) - alpha * q_U)
                 - k_D * (beta + lam + q_U) * (alpha + lam + q_D)) / (lam * den)
         mu = (k_I * alpha * (beta + lam + q_U) + k_D * q_U * (alpha + lam + q_D)) / den
-        g = {"DI": g_DI, "DS": 0.0, "UI": g_UI, "US": g_US}
-        return _finish(params, alpha, beta, case, g, mu, g_DI - g_UI, g_US - 0.0)
+        return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
 
-    if case is StrategyCase.DEFEND_INFECTED:
-        den = _check_denominator(
-            beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
-            "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
-        g_UI = (k_D + k_I) * (alpha + lam + q_D) / den
-        g_DS = (k_D * (beta + lam + q_U) * (alpha + q_D)
-                + k_I * (alpha * (lam + q_U) - beta * (lam + q_D))) / (lam * den)
-        g_DI = (k_D * (beta + lam + q_U) * (alpha + lam + q_D)
-                + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / (lam * den)
-        mu = beta * g_UI
-        g = {"DI": g_DI, "DS": g_DS, "UI": g_UI, "US": 0.0}
-        return _finish(params, alpha, beta, case, g, mu, g_UI - g_DI, g_DS - 0.0)
-
-    raise ValueError(f"unknown case {case!r}")
+    # DEFEND_INFECTED: _interval has rejected anything else
+    den = _check_denominator(
+        beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
+        "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
+    g_UI = (k_D + k_I) * (alpha + lam + q_D) / den
+    g_DS = (k_D * (beta + lam + q_U) * (alpha + q_D)
+            + k_I * (alpha * (lam + q_U) - beta * (lam + q_D))) / (lam * den)
+    g_DI = (k_D * (beta + lam + q_U) * (alpha + lam + q_D)
+            + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / (lam * den)
+    mu = beta * g_UI
+    return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
 
 
 def bellman_residual(params: ModelParams, x: StateDist, sol: HjbSolution) -> float:
@@ -232,18 +242,8 @@ def bellman_residual(params: ModelParams, x: StateDist, sol: HjbSolution) -> flo
 def control_attains_min(sol: HjbSolution, tol: float) -> bool:
     """Whether the stored control picks the minimizing branch on every line,
     up to tol (DEGENERATE_SLACK*k_I on the scale of the costs)."""
-    diffs = (
-        (sol.control.u_DI, sol.g_UI - sol.g_DI),
-        (sol.control.u_DS, sol.g_US - sol.g_DS),
-        (sol.control.u_UI, sol.g_DI - sol.g_UI),
-        (sol.control.u_US, sol.g_DS - sol.g_US),
-    )
-    for u, diff in diffs:
-        if u == 1 and diff > tol:
-            return False
-        if u == 0 and diff < -tol:
-            return False
-    return True
+    m_DI, m_DS, m_UI, m_US = _margins(sol.control, sol.g_DI, sol.g_DS, sol.g_UI, sol.g_US)
+    return not (m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol)
 
 
 def _thresholds(params: ModelParams, alpha: float,
@@ -393,32 +393,9 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         if not finite[i]:
             continue
         g_DI, g_DS, g_UI, g_US, mu = sols[i].tolist()
-        diffs = (
-            (u.u_DI, g_UI - g_DI),
-            (u.u_DS, g_US - g_DS),
-            (u.u_UI, g_DI - g_UI),
-            (u.u_US, g_DS - g_US),
-        )
-        slacks = []
-        ok = True
-        for ub, diff in diffs:
-            margin = -diff if ub == 1 else diff
-            slacks.append(margin)
-            if margin < -tol:
-                ok = False
-                break
-        if not ok:
+        m_DI, m_DS, m_UI, m_US = _margins(u, g_DI, g_DS, g_UI, g_US)
+        if m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol:
             continue
-        degenerate = any(abs(s) <= tol for s in slacks)
-        shift = min(g_DI, g_DS, g_UI, g_US)
-        slacks.sort()
-        kept.append(HjbSolution(
-            case=u.case,
-            g_DI=g_DI - shift, g_DS=g_DS - shift,
-            g_UI=g_UI - shift, g_US=g_US - shift,
-            mu=mu, valid=True, degenerate=degenerate,
-            slack1=slacks[0], slack2=slacks[1],
-            control=u,
-        ))
+        kept.append(_finish(params, u, (g_DI, g_DS, g_UI, g_US), mu, True))
 
     return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")), tol)

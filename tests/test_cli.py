@@ -461,6 +461,36 @@ class TestZeroRates:
         assert json.loads(err)["error"] == "degenerate_rates"
 
 
+SOLVER_COMMANDS = {
+    "fixed-points": [],
+    "equilibria": [],
+    "thresholds": [],
+    "sweep": ["--kappa-min", "0", "--kappa-max", "1", "--steps", "3"],
+}
+# rates past the float range: an overflowing square in endemic_root, an
+# infinite root off the simplex, and (thresholds) a spectrum of infinities
+FLOAT_RANGE_CASES = [(command, setting) for command in SOLVER_COMMANDS
+                     for setting in ("beta_UU=1e160", "v_H=1e200", "q_rec_U=1e200")]
+FLOAT_RANGE_CASES.append(("thresholds", "lambda=1e200"))
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command, setting", FLOAT_RANGE_CASES)
+    def test_reports_degenerate_rates(self, command, setting, config_path, capsys):
+        code, out, err = run(capsys, command, "--config", config_path,
+                             "--set", setting, *SOLVER_COMMANDS[command])
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "degenerate_rates"
+
+    def test_sweep_checks_its_bounds_before_solving(self, config_path, capsys):
+        code, out, err = run(capsys, "sweep", "--config", config_path,
+                             "--set", "q_rec_U=1e200",
+                             "--kappa-min", "1", "--kappa-max", "0", "--steps", "3")
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "invalid_sweep"
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, config_path, tmp_path, capsys):
         outs = []

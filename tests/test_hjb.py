@@ -276,6 +276,35 @@ class TestOracle:
             for sol in sols:
                 assert all(type(getattr(sol, name)) is float for name in names), sol
 
+    def test_slacks_equal_the_closed_forms(self, rng):
+        # both builders go through one margin rule: slack1/slack2 are the
+        # DI-line and DS-line margins, so an oracle solution carries the
+        # slacks of the closed form for its case
+        compared = 0
+        for _ in range(500):
+            params = random_params(rng)
+            x = random_state(rng)
+            closed = {s.case: s for s in enumerate_hjb(params, x)}
+            brute = oracle_enumerate(params, x)
+            if any(s.degenerate for s in brute + list(closed.values())):
+                continue
+            tol = 1e-9 * params.k_I
+            for ref in brute:
+                sol = closed[ref.case]
+                assert abs(ref.slack1 - sol.slack1) <= tol, (params, x, ref.case)
+                assert abs(ref.slack2 - sol.slack2) <= tol, (params, x, ref.case)
+                compared += 1
+        assert compared > 400
+
+    def test_case_is_read_from_the_control(self, rng):
+        for _ in range(100):
+            params = random_params(rng)
+            x = random_state(rng)
+            sols = oracle_enumerate(params, x) + [solve_case(params, x, case)
+                                                  for case in StrategyCase]
+            for sol in sols:
+                assert sol.case is sol.control.case
+
     def test_count_bound(self, rng):
         for _ in range(500):
             params = random_params(rng)
