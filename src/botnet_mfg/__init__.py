@@ -5,6 +5,7 @@ validating the mean-field limit."""
 from .model import (
     CONFIG_KEYS,
     ControlVector,
+    DegenerateDenominator,
     Domain,
     EffectiveRates,
     InvalidSimplex,
@@ -19,7 +20,6 @@ from .model import (
     kinetic_rhs,
 )
 from .hjb import (
-    DegenerateDenominator,
     HjbSolution,
     SingularSystem,
     TooManySolutions,
@@ -29,7 +29,6 @@ from .hjb import (
     solve_case,
 )
 from .fixedpoint import (
-    DenominatorPole,
     FixedPoint,
     fixed_point_acyclic,
     fixed_point_mixed,
@@ -60,8 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentCounts", "AssumptionViolation", "BifurcationReport", "CONFIG_KEYS",
-    "ControlVector", "DegenerateDenominator", "DenominatorPole",
-    "DeviationStats", "Domain", "EffectiveRates", "Equilibrium", "FixedPoint",
+    "ControlVector", "DegenerateDenominator", "DeviationStats", "Domain",
+    "EffectiveRates", "Equilibrium", "FixedPoint",
     "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
     "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "SweepRow",
     "TooManySolutions", "Trajectory", "alpha_beta",

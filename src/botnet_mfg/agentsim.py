@@ -61,6 +61,7 @@ from .model import (
     StateDist,
     StrategyCase,
     _alpha_beta,
+    default_step,
     integrate,
 )
 
@@ -75,6 +76,7 @@ MYOPIC = "myopic"
 RateTable = Callable[[float, float, float, float], tuple[float, ...]]
 _UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
 MAX_AGENTS = 2 ** 53  # float head-counts are exact up to here
+MAX_SAMPLES = 10 ** 6  # samples per replica, each kept as one row in memory
 
 
 def _check_n_agents(n_agents: int) -> None:
@@ -149,8 +151,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if not math.isfinite(self.horizon / self.sample_interval):
-            raise ValueError("horizon / sample_interval overflows")
+        if not self.horizon / self.sample_interval <= MAX_SAMPLES:
+            raise ValueError(f"horizon / sample_interval exceeds {MAX_SAMPLES}")
         if isinstance(self.policy, str) and self.policy != MYOPIC:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.myopic_recompute not in ("interval", "event"):
@@ -275,13 +277,13 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     table = rate_table(params, n, control)
 
     n_samples = math.floor(cfg.horizon / cfg.sample_interval + 1e-9)
-    sample_times = [i * cfg.sample_interval for i in range(n_samples + 1)]
     times: list[float] = []
     states: list[tuple[float, float, float, float]] = []
     cases: list[str] = []
 
     t = 0.0
     next_sample = 0
+    ts = 0.0  # the next sample time, next_sample * sample_interval
     per_event = myopic and cfg.myopic_recompute == "event"
     per_sample = myopic and not per_event
     standard_exponential = rng.standard_exponential
@@ -297,13 +299,13 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
         # Generator.exponential(scale) is scale * standard_exponential()
         t_event = t + standard_exponential() * (1.0 / total) if total > 0.0 else math.inf
 
-        ts = sample_times[next_sample]
         if ts <= t_event:
             t = ts
             times.append(ts)
             states.append((c_DI / n, c_DS / n, c_UI / n, c_US / n))
             cases.append(_case_label(control))
             next_sample += 1
+            ts = next_sample * cfg.sample_interval
             recompute = per_sample
         else:
             # execute the jump at t_event in the first channel whose
@@ -411,7 +413,7 @@ def _ode_states(params: ModelParams, traj: Trajectory, u: ControlVector) -> np.n
     ``substeps`` RK4 steps per sample interval, (samples - 1) * substeps in all."""
     dt = float(traj.times[1] - traj.times[0])
     horizon = float(traj.times[-1])
-    substeps = max(1, math.ceil(dt / min(dt, 1e-2 / params.max_rate())))
+    substeps = max(1, math.ceil(dt / min(dt, default_step(params))))
     n_steps = (len(traj.times) - 1) * substeps
     # integrate takes ceil(horizon / step) steps of horizon / that count;
     # ceil(horizon / (horizon / n_steps)) can round one past n_steps, so

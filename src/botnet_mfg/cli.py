@@ -185,9 +185,9 @@ def write(args: argparse.Namespace, fields: tuple[str, ...],
 def solved(compute: Callable[..., Any], *args) -> Any:
     """Run a solver call, reporting its failure as degenerate_rates.
 
-    A vanishing denominator or rates past the float range fail as an
-    ArithmeticError or a ValueError.  numpy's float warnings are off, so
-    stderr holds only the error record.
+    A vanishing denominator, a non-finite Bellman solution or rates past
+    the float range fail as an ArithmeticError or a ValueError.  numpy's
+    float warnings are off, so stderr holds only the error record.
     """
     try:
         with np.errstate(all="ignore"):
@@ -261,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             myopic_recompute="interval" if recompute is None else recompute)
     except ValueError as exc:
         raise CliError("invalid_sim_config", str(exc)) from exc
-    trajectories = agentsim.replica_trajectories(params, cfg, args.replicas)
+    trajectories = solved(agentsim.replica_trajectories, params, cfg, args.replicas)
 
     lead = ("replica",) if args.replicas > 1 else ()
     if args.switch_log:

@@ -22,10 +22,12 @@ from . import hjb as hjb_mod
 from .model import (
     STATE_FIELDS,
     ControlVector,
+    DegenerateDenominator,
     ModelParams,
     StateDist,
     StrategyCase,
     alpha_beta,
+    check_denominator,
     classify_domain,
 )
 
@@ -117,7 +119,7 @@ def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equil
             continue
         try:
             sol = hjb_mod.solve_case(params, fp.x, fp.case)
-        except hjb_mod.DegenerateDenominator:
+        except DegenerateDenominator:
             continue
         found.append((sol, fp))
 
@@ -185,22 +187,16 @@ class BifurcationReport:
         return asdict(self)
 
 
-def _ratio(num: float, den: float, what: str) -> float:
-    if den == 0.0:
-        raise hjb_mod.DegenerateDenominator(f"{what} vanishes")
-    return num / den
-
-
 def _gap_threshold(params: ModelParams, x: StateDist) -> float:
     """(beta-alpha)/(beta+q_rec_U) at a state."""
     alpha, beta = alpha_beta(params, x)
-    return _ratio(beta - alpha, beta + params.q_rec_U, "beta + q_rec_U")
+    return (beta - alpha) / check_denominator(beta + params.q_rec_U, "beta + q_rec_U")
 
 
 def _delta_threshold(params: ModelParams, x: StateDist) -> float:
     """delta/(alpha+q_rec_D) at a state."""
     alpha, _ = alpha_beta(params, x)
-    return _ratio(params.delta, alpha + params.q_rec_D, "alpha + q_rec_D")
+    return params.delta / check_denominator(alpha + params.q_rec_D, "alpha + q_rec_D")
 
 
 def kappa_thresholds(params: ModelParams) -> BifurcationReport:

@@ -29,10 +29,12 @@ from .model import (
     CASE_CONTROLS,
     STATE_FIELDS,
     ControlVector,
+    DegenerateDenominator,
     ModelParams,
     StateDist,
     StrategyCase,
     _rhs_components,
+    check_denominator,
     kinetic_jacobian,
 )
 
@@ -40,10 +42,6 @@ BISECT_TOL = 1e-13
 ROOT_ZERO_TOL = 1e-15    # |p(y)| <= this * sum|c_i| counts as a root at y
 RESIDUAL_TOL = 1e-9      # sup-norm bound on kinetic_rhs at a returned point
 STABLE_EIG_TOL = -1e-12  # stable <=> all eigenvalue real parts below this
-
-
-class DenominatorPole(ArithmeticError):
-    """The back-substitution denominator q_rec_U - beta_UU*x_DI vanished."""
 
 
 EIGENVALUE_FIELDS = tuple(f"eig{i}_{part}" for i in (1, 2, 3) for part in ("re", "im"))
@@ -174,12 +172,11 @@ def _polyadd(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def reconstruct_mixed_state(params: ModelParams, x_DI: float) -> StateDist:
     """Full case-iii state from the x_DI abscissa.
 
-    x_US = x_DI and x_UI follows from the switching balance.  Raises
-    DenominatorPole at the back-substitution singularity.
+    x_US = x_DI and x_UI follows from the switching balance.  At the pole
+    q_rec_U = beta_UU*x_DI this raises DegenerateDenominator; within
+    rounding of it, x_UI lands far outside [0, 1]: InvalidSimplex.
     """
-    den = params.q_rec_U - params.beta_UU * x_DI
-    if abs(den) <= 1e-12 * max(1.0, params.q_rec_U, params.beta_UU):
-        raise DenominatorPole(f"q_rec_U - beta_UU*x_DI vanishes at x_DI={x_DI}")
+    den = check_denominator(params.q_rec_U - params.beta_UU * x_DI, "q_rec_U - beta_UU*x_DI")
     x_UI = x_DI * (params.q_inf_U * params.v_H + params.beta_DU * x_DI + params.lam) / den
     x_DS = 1.0 - x_UI - 2.0 * x_DI
     return StateDist(x_DI, x_DS, x_UI, x_DI)
@@ -255,11 +252,10 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
     Case iii isolates the roots of the quartic on [0, 1] (bracket_roots;
     the module docstring states its limit); case iv takes the case-iii
     states of the relabeled problem and swaps their coordinates back.
-    Roots that cannot be
-    reconstructed into a simplex point (including those at the
-    back-substitution pole) are discarded, as are reconstructions whose
-    kinetic residual exceeds the fixed-point tolerance; the spectrum is
-    computed only for the states kept.
+    Roots that cannot be reconstructed into a simplex point (those at the
+    back-substitution pole included) are discarded, as are reconstructions
+    whose kinetic residual exceeds the fixed-point tolerance; the spectrum
+    is computed only for the states kept.
     """
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
         return [_point(params, x, case, "quartic_numeric") for x in _case_iii_states(params)]
@@ -276,7 +272,7 @@ def _case_iii_states(params: ModelParams) -> list[StateDist]:
     for root in bracket_roots(mixed_quartic_coeffs(params)):
         try:
             x = reconstruct_mixed_state(params, root)
-        except (DenominatorPole, ValueError):
+        except (DegenerateDenominator, ValueError):
             continue
         if _residual(params, x, control) <= RESIDUAL_TOL:
             states.append(x)

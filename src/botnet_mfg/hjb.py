@@ -49,7 +49,10 @@ most two *distinct* solutions ever hold, which ``enumerate_hjb`` checks.
 
 g and mu are linear in (k_D, k_I), so every tolerance below is a multiple
 of k_I: scaling both costs by c > 0 scales g, mu and the slacks by c and
-returns the same cases and flags.
+returns the same cases and flags.  Scaling the rates too (a change of
+time unit) leaves every interval as it is: a closed form fails only on a
+denominator exactly zero (DegenerateDenominator) or a non-finite
+solution (OverflowError), never on an absolute floor.
 """
 
 from __future__ import annotations
@@ -62,24 +65,19 @@ import numpy as np
 
 from .model import (
     ControlVector,
+    DegenerateDenominator,
     ModelParams,
     StateDist,
     StrategyCase,
     _alpha_beta,
     alpha_beta,
+    check_denominator,
 )
 
 # in units of k_I: a slack within DEGENERATE_SLACK*k_I of zero is reported
 # degenerate; validity itself is decided by the exact case_interval
 DEGENERATE_SLACK = 1e-9
-# closed-form denominators at or below this are treated as removable
-# singularities of the formulas
-DENOMINATOR_FLOOR = 1e-14
 RESIDUAL_SCALE = 1e-10
-
-
-class DegenerateDenominator(ArithmeticError):
-    """A closed-form denominator vanished (degenerate rates or state)."""
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -131,12 +129,6 @@ class HjbSolution:
         return rec
 
 
-def _check_denominator(value: float, what: str) -> float:
-    if abs(value) <= DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"{what} = {value} is numerically zero")
-    return value
-
-
 def _margins(u: ControlVector, g_DI: float, g_DS: float, g_UI: float, g_US: float) -> tuple:
     """The line margins in line order: g_self - g_partner where u toggles,
     g_partner - g_self where not; u attains a line's min iff its margin >= 0."""
@@ -148,19 +140,21 @@ def _margins(u: ControlVector, g_DI: float, g_DS: float, g_UI: float, g_US: floa
 
 def _finish(params: ModelParams, u: ControlVector, g: tuple[float, float, float, float],
             mu: float, valid: bool) -> HjbSolution:
-    """The one HjbSolution builder: margins of the raw g, then g shifted to min 0."""
+    """The one HjbSolution builder: margins of the raw g, then g shifted to
+    min 0.  Raises OverflowError unless mu and the shifted g are finite."""
     g_DI, g_DS, g_UI, g_US = g
     m_DI, m_DS, m_UI, m_US = _margins(u, g_DI, g_DS, g_UI, g_US)
-    tol = DEGENERATE_SLACK * params.k_I
     shift = min(g)
+    g_DI, g_DS, g_UI, g_US = g_DI - shift, g_DS - shift, g_UI - shift, g_US - shift
+    if not (math.isfinite(mu) and math.isfinite(g_DI) and math.isfinite(g_DS)
+            and math.isfinite(g_UI) and math.isfinite(g_US)):
+        raise OverflowError(f"non-finite Bellman solution: mu={mu}, g={g}")
+    tol = DEGENERATE_SLACK * params.k_I
     return HjbSolution(
-        g_DI=g_DI - shift, g_DS=g_DS - shift, g_UI=g_UI - shift, g_US=g_US - shift,
-        mu=mu, valid=valid,
-        # each margin on its own: a NaN margin must not hide a zero one
+        g_DI=g_DI, g_DS=g_DS, g_UI=g_UI, g_US=g_US, mu=mu, valid=valid,
         degenerate=(abs(m_DI) <= tol or abs(m_DS) <= tol
                     or abs(m_UI) <= tol or abs(m_US) <= tol),
-        slack1=m_DI, slack2=m_DS,
-        control=u,
+        slack1=m_DI, slack2=m_DS, control=u,
     )
 
 
@@ -179,46 +173,44 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolu
     k_D, k_I = params.k_D, params.k_I
 
     if case is StrategyCase.PREFER_UNPROTECTED:
-        den = _check_denominator(beta + q_U, "beta + q_rec_U")
+        den = check_denominator(beta + q_U, "beta + q_rec_U")
         g_UI = k_I / den
         mu = beta * g_UI
-        den2 = _check_denominator(lam * den * (alpha + lam + q_D),
-                                  "lam*(beta+q_rec_U)*(alpha+lam+q_rec_D)")
+        den2 = check_denominator(lam * den * (alpha + lam + q_D), "lam*den*(alpha+lam+q_rec_D)")
         g_DS = (k_D - mu) / lam + k_I * alpha * (beta + lam + q_U) / den2
         g_DI = (k_D - mu) / lam + k_I * (alpha + lam) * (beta + lam + q_U) / den2
         return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
 
     if case is StrategyCase.PREFER_DEFENDED:
-        den = _check_denominator(alpha + q_D, "alpha + q_rec_D")
+        den = check_denominator(alpha + q_D, "alpha + q_rec_D")
         g_DI = k_I / den
         mu = k_D + alpha * g_DI
-        den2 = _check_denominator(lam * den * (beta + lam + q_U),
-                                  "lam*(alpha+q_rec_D)*(beta+lam+q_rec_U)")
+        den2 = check_denominator(lam * den * (beta + lam + q_U), "lam*den*(beta+lam+q_rec_U)")
         g_US = -k_D / lam + k_I * (beta * (lam + q_D) - alpha * (lam + q_U)) / den2
         g_UI = -k_D / lam + k_I * ((beta + lam) * (lam + q_D) - alpha * q_U) / den2
         return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
 
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        den = _check_denominator(
-            alpha * (beta + lam + q_U) + q_U * (alpha + lam + q_D),
-            "alpha*(beta+lam+q_rec_U) + q_rec_U*(alpha+lam+q_rec_D)")
+        den = check_denominator(alpha * (beta + lam + q_U) + q_U * (alpha + lam + q_D),
+                                "alpha*(beta+lam+q_rec_U) + q_rec_U*(alpha+lam+q_rec_D)")
+        den2 = check_denominator(lam * den, "lam*den")
         g_DI = (beta + lam + q_U) * (k_I - k_D) / den
         g_US = (k_I * (beta * (lam + q_D) - alpha * (lam + q_U))
-                - k_D * (beta + q_U) * (alpha + lam + q_D)) / (lam * den)
+                - k_D * (beta + q_U) * (alpha + lam + q_D)) / den2
         g_UI = (k_I * ((lam + q_D) * (lam + beta) - alpha * q_U)
-                - k_D * (beta + lam + q_U) * (alpha + lam + q_D)) / (lam * den)
+                - k_D * (beta + lam + q_U) * (alpha + lam + q_D)) / den2
         mu = (k_I * alpha * (beta + lam + q_U) + k_D * q_U * (alpha + lam + q_D)) / den
         return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
 
     # DEFEND_INFECTED: _interval has rejected anything else
-    den = _check_denominator(
-        beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
-        "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
+    den = check_denominator(beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
+                            "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
+    den2 = check_denominator(lam * den, "lam*den")
     g_UI = (k_D + k_I) * (alpha + lam + q_D) / den
     g_DS = (k_D * (beta + lam + q_U) * (alpha + q_D)
-            + k_I * (alpha * (lam + q_U) - beta * (lam + q_D))) / (lam * den)
+            + k_I * (alpha * (lam + q_U) - beta * (lam + q_D))) / den2
     g_DI = (k_D * (beta + lam + q_U) * (alpha + lam + q_D)
-            + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / (lam * den)
+            + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / den2
     mu = beta * g_UI
     return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
 

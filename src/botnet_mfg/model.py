@@ -34,7 +34,7 @@ import numpy as np
 # |sum(x) - 1| accepted on input before renormalizing; root-finders and
 # integrators produce drift at this scale.
 SIMPLEX_INPUT_TOL = 1e-9
-# tolerance on the rate comparison separating the two solution domains
+# relative tolerance on the rate comparison separating the two solution domains
 DOMAIN_BOUNDARY_TOL = 1e-12
 
 
@@ -44,6 +44,19 @@ class InvalidSimplex(ValueError):
 
 class StepTooLarge(RuntimeError):
     """Raised when an integration step drives a component below -1e-6."""
+
+
+class DegenerateDenominator(ArithmeticError):
+    """A closed-form denominator vanished (degenerate rates or state)."""
+
+
+def check_denominator(value: float, what: str) -> float:
+    """value, or DegenerateDenominator when it is exactly zero: no floor
+    is free of the time unit, and a caller range-checks what a near-zero
+    value gives (a non-finite Bellman solution, a state off the simplex)."""
+    if value == 0.0:
+        raise DegenerateDenominator(f"{what} vanishes")
+    return value
 
 
 class StrategyCase(Enum):
@@ -428,10 +441,11 @@ def classify_domain(params: ModelParams, x: StateDist) -> Domain:
 
     D1 holds where beta + q_rec_U > alpha + q_rec_D (unprotected machines
     both catch the infection faster and shed it slower, net); D2 is the
-    reverse; Boundary is a gap within DOMAIN_BOUNDARY_TOL of zero.
+    reverse; Boundary is a gap within DOMAIN_BOUNDARY_TOL times the larger
+    of the two sums, so the answer does not depend on the time unit.
     """
     alpha, beta = alpha_beta(params, x)
-    gap = (beta + params.q_rec_U) - (alpha + params.q_rec_D)
-    if abs(gap) <= DOMAIN_BOUNDARY_TOL:
+    unprotected, defended = beta + params.q_rec_U, alpha + params.q_rec_D
+    if abs(unprotected - defended) <= DOMAIN_BOUNDARY_TOL * max(unprotected, defended):
         return Domain.BOUNDARY
-    return Domain.D1 if gap > 0.0 else Domain.D2
+    return Domain.D1 if unprotected > defended else Domain.D2

@@ -286,6 +286,19 @@ class TestSimulate:
             SimConfig(n_agents=n_agents, horizon=1.0, seed=0, policy=U_I,
                       sample_interval=0.5, initial=StateDist(0.0, 0.0, 0.3, 0.7))
 
+    @pytest.mark.parametrize("horizon, sample_interval", [
+        (1.0, 1e-300), (1.0, math.nextafter(1e-6, 0.0)), (1e300, 1.0), (1e308, 1e-10)])
+    def test_rejects_more_samples_than_the_cap(self, horizon, sample_interval):
+        # constructed only: a run of such a config would keep every sample
+        with pytest.raises(ValueError, match="sample_interval exceeds"):
+            SimConfig(n_agents=10, horizon=horizon, seed=0, policy=U_I,
+                      sample_interval=sample_interval, initial=StateDist(0.0, 0.0, 0.3, 0.7))
+
+    def test_accepts_the_sample_cap(self):
+        cfg = SimConfig(n_agents=10, horizon=1.0, seed=0, policy=U_I,
+                        sample_interval=1e-6, initial=StateDist(0.0, 0.0, 0.3, 0.7))
+        assert cfg.horizon / cfg.sample_interval == agentsim.MAX_SAMPLES
+
     def test_requires_fixed_policy(self):
         params = sim_params()
         cfg = SimConfig(n_agents=10, horizon=1.0, seed=0, policy="myopic",

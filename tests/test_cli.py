@@ -474,11 +474,24 @@ FLOAT_RANGE_CASES = [(command, setting) for command in SOLVER_COMMANDS
 FLOAT_RANGE_CASES.append(("thresholds", "lambda=1e200"))
 
 
+# lambda = 1e308 makes the case-i Bellman solution NaN: every command that
+# prices it, the myopic simulator included, fails
+NON_FINITE_COMMANDS = {
+    "hjb": ["--x", "0.1,0.4,0.2,0.3"],
+    "equilibria": [],
+    "sweep": SOLVER_COMMANDS["sweep"],
+    "simulate": ["--x", "0,0,0.3,0.7", "--n-agents", "10", "--horizon", "1",
+                 "--seed", "5", "--policy", "myopic"],
+}
+FLOAT_RANGE_CASES += [(command, "lambda=1e308") for command in NON_FINITE_COMMANDS]
+
+
 class TestFloatRange:
     @pytest.mark.parametrize("command, setting", FLOAT_RANGE_CASES)
     def test_reports_degenerate_rates(self, command, setting, config_path, capsys):
+        flags = {**SOLVER_COMMANDS, **NON_FINITE_COMMANDS}[command]
         code, out, err = run(capsys, command, "--config", config_path,
-                             "--set", setting, *SOLVER_COMMANDS[command])
+                             "--set", setting, *flags)
         assert code == 1 and not out
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "degenerate_rates"

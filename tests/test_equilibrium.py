@@ -14,7 +14,7 @@ from botnet_mfg import (
     solve_mfg,
     sweep_kappa,
 )
-from botnet_mfg import fixedpoint, hjb
+from botnet_mfg import equilibrium, fixedpoint, hjb
 from botnet_mfg.cli import records_to_csv
 from botnet_mfg.equilibrium import (
     SWEEP_CSV_FIELDS,
@@ -301,3 +301,57 @@ def _edges(rows):
         if a.count != b.count:
             edges.append(0.5 * (a.kappa + b.kappa))
     return edges
+
+
+# every rate (q_inf_* included) and both per-unit-time costs; v_H is dimensionless
+RATE_AND_COST_FIELDS = ("q_rec_D", "q_rec_U", "q_inf_D", "q_inf_U", "beta_UU", "beta_UD",
+                        "beta_DU", "beta_DD", "lam", "k_D", "k_I")
+SECONDS_PER_YEAR = 3.15576e7
+
+
+def _in_time_unit(params, c):
+    """params with every rate and both costs multiplied by c."""
+    return replace(params, **{name: getattr(params, name) * c for name in RATE_AND_COST_FIELDS})
+
+
+def _structure(params):
+    """What a change of time unit must leave as it is."""
+    report = kappa_thresholds(params)
+    return {
+        "equilibria": [(eq.case, eq.stable) for eq in solve_mfg(params)],
+        "points": [(fp.case, fp.stable) for fp in equilibrium.stationary_points(params)],
+        "kappas": (report.kappa_1, report.kappa_2, report.kappa_3, report.kappa_4),
+        "domains": report.domains,
+    }
+
+
+class TestTimeUnit:
+    """Scaling every rate and both costs by c changes the unit of time only."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(5)
+        readme = replace(regime_one_params(), k_D=0.7)
+        return [readme] + [random_params(rng) for _ in range(200)]
+
+    @pytest.mark.parametrize("c", [1e-9, 3.2e-8, 1e-6, 1e-3, 1e3, 1e5])
+    def test_equilibria_points_thresholds_and_domains_do_not_change(self, c, draws):
+        for params in draws:
+            base, scaled = _structure(params), _structure(_in_time_unit(params, c))
+            assert scaled["equilibria"] == base["equilibria"], params
+            assert scaled["points"] == base["points"], params
+            assert scaled["domains"] == base["domains"], params
+            assert np.allclose(scaled["kappas"], base["kappas"], rtol=1e-9, atol=0.0), params
+
+    def test_point_cases_and_domains_do_not_change_at_1e_12(self, draws):
+        # STABLE_EIG_TOL is absolute, so stable flags may flip this far down
+        for params in draws:
+            base, scaled = _structure(params), _structure(_in_time_unit(params, 1e-12))
+            assert [case for case, _ in scaled["points"]] == [case for case, _ in base["points"]]
+            assert scaled["domains"] == base["domains"], params
+
+    def test_readme_config_per_second(self):
+        params = replace(regime_one_params(), k_D=0.7)
+        per_second = _in_time_unit(params, 1.0 / SECONDS_PER_YEAR)
+        assert [eq.case for eq in solve_mfg(per_second)] == [CASE_I]
+        assert [b[0] for b in _bands(sweep_kappa(per_second, 0.45, 0.72, 200))] == [1, 0, 1]

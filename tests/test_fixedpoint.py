@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from botnet_mfg import (
+    DegenerateDenominator,
+    InvalidSimplex,
     ModelParams,
     StrategyCase,
     fixed_point_acyclic,
@@ -187,6 +189,30 @@ class TestMixed:
             fp.x.x_UI * params.q_rec_U / params.lam, rel=20.0 / params.lam)
 
 
+class TestPole:
+    """The back-substitution pole q_rec_U = beta_UU*x_DI, here at x_DI = 1/4."""
+
+    POLE = 0.25
+    NEIGHBOURS = (math.nextafter(POLE, 0.0), math.nextafter(POLE, 1.0))
+
+    def test_root_exactly_at_the_pole_raises(self):
+        params = _mk(q_rec_U=1.0, beta_UU=4.0)
+        with pytest.raises(DegenerateDenominator):
+            reconstruct_mixed_state(params, self.POLE)
+
+    @pytest.mark.parametrize("x_DI", NEIGHBOURS)
+    def test_root_one_ulp_off_the_pole_is_off_the_simplex(self, x_DI):
+        params = _mk(q_rec_U=1.0, beta_UU=4.0)
+        with pytest.raises(InvalidSimplex):
+            reconstruct_mixed_state(params, x_DI)
+
+    def test_pole_roots_are_dropped(self, monkeypatch):
+        params = _mk(q_rec_U=1.0, beta_UU=4.0)
+        monkeypatch.setattr(fixedpoint, "bracket_roots",
+                            lambda coeffs: [self.NEIGHBOURS[0], self.POLE, self.NEIGHBOURS[1]])
+        assert fixed_point_mixed(params, CASE_III) == []
+
+
 class TestBracketRoots:
     """Exact isolation finds every root on [0, 1], however close."""
 
@@ -340,7 +366,7 @@ def _reference_mixed(params, case):
     for root in bracket_roots(_reference_quartic(params)):
         try:
             x = reconstruct_mixed_state(params, root)
-        except (fixedpoint.DenominatorPole, ValueError):
+        except (DegenerateDenominator, ValueError):
             continue
         eigs = _reference_eigs(params, x, case)
         if float(np.max(np.abs(kinetic_rhs(params, x, case.control)))) <= fixedpoint.RESIDUAL_TOL:

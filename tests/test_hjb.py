@@ -91,6 +91,48 @@ class TestSolveCase:
                         assert slack * margin > 0.0, (case, slack, margin)
 
 
+class TestExactDenominators:
+    """A denominator fails only when it is exactly zero; a solution that is
+    not finite fails as OverflowError."""
+
+    @pytest.mark.parametrize("k_I, overflows", [(1.0, False), (1e300, True)])
+    def test_tiny_case_i_denominator_is_divided_by(self, base_params, interior_state,
+                                                   k_I, overflows):
+        params = replace(base_params, **{
+            name: getattr(base_params, name) * 1e-101
+            for name in ("q_rec_D", "q_rec_U", "q_inf_D", "q_inf_U", "beta_UU",
+                         "beta_UD", "beta_DU", "beta_DD", "lam")}, k_D=0.5 * k_I, k_I=k_I)
+        alpha, beta = alpha_beta(params, interior_state)
+        den2 = params.lam * (beta + params.q_rec_U) * (alpha + params.lam + params.q_rec_D)
+        assert 1e-302 < den2 < 1e-299
+        if overflows:
+            with pytest.raises(OverflowError):
+                solve_case(params, interior_state, CASE_I)
+        else:
+            sol = solve_case(params, interior_state, CASE_I)
+            assert all(math.isfinite(v) for v in (*sol.g_array(), sol.mu))
+
+    def test_non_finite_solution_raises(self, interior_state):
+        # lambda = 1e308 overflows the case-i numerator and denominator alike
+        params = ModelParams(
+            q_rec_D=1.0, q_rec_U=1.0, q_inf_D=0.5, q_inf_U=1.0,
+            beta_UU=4.0, beta_UD=0.5, beta_DU=4.0, beta_DD=0.5,
+            lam=1e308, v_H=1.0, k_D=0.7, k_I=1.0)
+        with pytest.raises(OverflowError):
+            solve_case(params, interior_state, CASE_I)
+        with pytest.raises(OverflowError):
+            enumerate_hjb(params, interior_state)
+
+    def test_exactly_zero_denominator_raises(self):
+        # no recovery and no infection pressure on an unprotected host
+        params = ModelParams(
+            q_rec_D=1.0, q_rec_U=0.0, q_inf_D=0.5, q_inf_U=0.0,
+            beta_UU=0.0, beta_UD=0.5, beta_DU=0.0, beta_DD=0.5,
+            lam=10.0, v_H=1.0, k_D=0.7, k_I=1.0)
+        with pytest.raises(DegenerateDenominator, match="beta \\+ q_rec_U vanishes"):
+            solve_case(params, StateDist(0.1, 0.4, 0.2, 0.3), CASE_I)
+
+
 class TestEnumerate:
     def test_equal_recovery_unique_in_d1(self, rng):
         for _ in range(500):
