@@ -118,7 +118,7 @@ def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equil
         if not lo <= params.kappa <= hi:
             continue
         try:
-            sol = hjb_mod.solve_case(params, fp.x, fp.case)
+            sol = hjb_mod.solve_case(params, fp.x, fp.case, (lo, hi))
         except DegenerateDenominator:
             continue
         found.append((sol, fp))

@@ -158,16 +158,19 @@ def _finish(params: ModelParams, u: ControlVector, g: tuple[float, float, float,
     )
 
 
-def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolution:
+def solve_case(params: ModelParams, x: StateDist, case: StrategyCase,
+               interval: tuple[float, float] | None = None) -> HjbSolution:
     """Closed-form (g, mu) for one strategy case at a frozen state x.
 
     The returned solution always satisfies the fixed-control linear system;
     ``valid`` reports whether the case's interval holds kappa, that is
     whether its control attains the minimum in every line, with the signed
-    margins in ``slack1``/``slack2``.
+    margins in ``slack1``/``slack2``.  A caller that has just computed
+    ``case_interval(params, x, case)`` passes it as ``interval``.
     """
     alpha, beta = alpha_beta(params, x)
-    lo, hi = _interval(case, *_thresholds(params, alpha, beta))
+    lo, hi = interval if interval is not None else _interval(
+        case, *_thresholds(params, alpha, beta))
     u, valid = case.control, lo <= params.kappa <= hi
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
     k_D, k_I = params.k_D, params.k_I
@@ -297,7 +300,7 @@ def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
         lo, hi = _interval(case, A, B, P, Q)
         if lo <= kappa <= hi:
             try:
-                solutions.append(solve_case(params, x, case))
+                solutions.append(solve_case(params, x, case, (lo, hi)))
             except DegenerateDenominator:
                 continue
     solutions.sort(key=lambda s: (s.mu, s.case.label))
@@ -312,7 +315,8 @@ def _distinct(solutions: list[HjbSolution], tol: float) -> list[HjbSolution]:
     for sol in solutions:
         if not any(
             abs(sol.mu - other.mu) <= tol
-            and np.max(np.abs(sol.g_array() - other.g_array())) <= tol
+            and abs(sol.g_DI - other.g_DI) <= tol and abs(sol.g_DS - other.g_DS) <= tol
+            and abs(sol.g_UI - other.g_UI) <= tol and abs(sol.g_US - other.g_US) <= tol
             for other in distinct
         ):
             distinct.append(sol)

@@ -29,9 +29,11 @@ from botnet_mfg.agentsim import (
     _dist_of,
     _resolve_control,
     generator_drift,
+    kept_test,
     rate_table,
     replica_trajectories,
 )
+from botnet_mfg.model import _alpha_beta
 from botnet_mfg.validation import random_control, random_params
 from conftest import case_thresholds
 
@@ -514,23 +516,30 @@ class TestMyopicDecision:
 class TestKeptDecisionFromCounts:
     """The myopic rule reads the head-counts directly."""
 
-    def test_lattice_fractions_are_statedist_floats(self, rng, monkeypatch):
-        seen = []
-        real = agentsim._alpha_beta
-        monkeypatch.setattr(agentsim, "_alpha_beta",
-                            lambda p, x_DI, x_UI: seen.append((x_DI, x_UI)) or real(p, x_DI, x_UI))
-        params = GAP_PARAMS
-        off_one = 0
+    def test_lattice_fractions_are_statedist_floats(self, rng):
+        # kappa on an end of case_interval at StateDist(c/n): the verdict
+        # there turns on the last ulp of the fractions
+        checked = differs = 0
         for n in LATTICE_SIZES:
             for _ in range(500):
                 counts = _lattice_counts(rng, n)
-                seen.clear()
-                _resolve_control(params, counts, n, CASE_I, [], 0.0)
-                x = StateDist(*(c / n for c in counts))
-                assert [(a.hex(), b.hex()) for a, b in seen] == [
-                    (x.x_DI.hex(), x.x_UI.hex())], (n, counts)
-                off_one += math.fsum(c / n for c in counts) != 1.0
-        assert off_one > 0
+                fractions = [c / n for c in counts]
+                if math.fsum(fractions) == 1.0:
+                    continue
+                x = StateDist(*fractions)
+                raw = hjb._thresholds(GAP_PARAMS, *_alpha_beta(GAP_PARAMS, fractions[0],
+                                                                fractions[2]))
+                for case in StrategyCase:
+                    for end in case_interval(GAP_PARAMS, x, case):
+                        if not (math.isfinite(end) and end >= 0.0):
+                            continue
+                        params = GAP_PARAMS.with_kappa(end)
+                        holds = _interval_holds(params, counts, n, case)
+                        assert kept_test(params, n, case)(*counts) == holds, (n, counts, case)
+                        lo, hi = hjb._interval(case, *raw)
+                        differs += (lo <= params.kappa <= hi) != holds
+                        checked += 1
+        assert checked > 100 and differs > 0
 
     def test_agrees_with_holds_at_the_statedist(self, rng):
         lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
@@ -544,9 +553,11 @@ class TestKeptDecisionFromCounts:
                 counts = _lattice_counts(rng, n)
             if k % 4 == 3:
                 # no infected agents: P = 0 under the first rates, Q = 0
-                # under the second, so _least returns an infinity
-                zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0) if k % 8 == 3
-                        else dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0))
+                # under the second, both with A = B = 0 under the third,
+                # so _least returns an infinity
+                zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
+                        dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0),
+                        dict(q_rec_D=0.0, q_rec_U=0.0, v_H=0.0))[k // 4 % 3]
                 params = replace(params, **zero)
                 counts = [0, counts[0] + counts[1], 0, counts[2] + counts[3]]
             case = list(StrategyCase)[rng.integers(4)]
@@ -556,13 +567,32 @@ class TestKeptDecisionFromCounts:
             ends = [end for end in case_interval(params, x, case)
                     if math.isfinite(end) and end >= 0.0]
             if ends and k % 2:
-                # kappa on an end of the interval: one ulp of x decides
+                # kappa on an end of one case's interval: one ulp of x decides
                 params = params.with_kappa(ends[rng.integers(len(ends))])
                 at_end += 1
-            notes = []
-            kept = _resolve_control(params, counts, n, case, notes, 0.0) is None and not notes
-            assert kept == _interval_holds(params, counts, n, case), (params, counts, case)
+            for incumbent in StrategyCase:
+                notes = []
+                kept = (_resolve_control(params, counts, n, incumbent, notes, 0.0) is None
+                        and not notes)
+                assert kept == _interval_holds(params, counts, n, incumbent), (
+                    params, counts, incumbent)
         assert zero_denominators > 100 and at_end > 500
+
+    def test_built_once_per_switch_and_never_for_a_fixed_control(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(agentsim, "kept_test",
+                            lambda *args: built.append(args) or kept_test(*args))
+        cfg = SimConfig(n_agents=200, horizon=4.0, seed=2024, policy=U_I,
+                        sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2))
+        simulate(sim_params(), cfg)
+        assert built == []
+        for recompute in ("interval", "event"):
+            built.clear()
+            traj = simulate_myopic(GAP_PARAMS, replace(cfg, policy="myopic",
+                                                       myopic_recompute=recompute))
+            assert traj.switches and not traj.notes
+            assert [case.label for _, _, case in built] == [
+                traj.cases[0], *(s.new_case for s in traj.switches)]
 
     def test_full_rule_runs_only_on_a_switch_or_a_note(self, monkeypatch):
         calls = []

@@ -63,6 +63,14 @@ class TestSolveCase:
                     assert bellman_residual(params, x, sol) <= tol
                     assert control_attains_min(sol, DEGENERATE_SLACK * params.k_I)
 
+    def test_a_passed_interval_gives_the_same_solution(self, rng):
+        for _ in range(300):
+            params = random_params(rng)
+            x = random_state(rng)
+            for case in StrategyCase:
+                interval = case_interval(params, x, case)
+                assert solve_case(params, x, case, interval) == solve_case(params, x, case)
+
     def test_renormalized_to_zero_minimum(self, rng):
         for _ in range(200):
             params = random_params(rng)
