@@ -38,10 +38,10 @@ In myopic mode the incumbent case is kept while ``kept_test`` holds at
 the head-counts: its exact kappa interval on the fractions c/n divided
 by their fsum, the floats a ``StateDist`` of them stores.  Like
 ``rate_table`` the test is built once per switch and is one call per
-jump; it is the only place the per-jump check lives, and tests pin it
-to ``hjb.case_interval``.  When it fails, ``_resolve_control`` builds a
-``StateDist`` and ``hjb.enumerate_hjb`` at it picks the cheapest holding
-case.
+jump.  The interval comes from ``hjb.interval_rule``, the only place the
+validity rule lives; ``kept_test`` adds only the fsum normalization.
+When it fails, ``_resolve_control`` builds a ``StateDist`` and
+``hjb.enumerate_hjb`` at it picks the cheapest holding case.
 
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
 row and sample grid among the trajectories it is given, so the replicas
@@ -221,57 +221,20 @@ def rate_table(params: ModelParams, n_agents: int,
 
 
 def kept_test(params: ModelParams, n_agents: int, case: StrategyCase) -> KeptTest:
-    """Whether case's ``hjb.case_interval`` holds kappa at the head-counts.
+    """Whether case's kappa interval holds kappa at the head-counts.
 
-    Returns a function of (n_DI, n_DS, n_UI, n_US) that takes the
-    interval at the fractions c/n divided by their fsum, which is not
-    always 1.0 on the lattice: the floats a ``StateDist`` of them stores.
-    It does ``case_interval``'s float operations, ``_thresholds``'
-    parenthesization and ``_least``'s infinities included, in one frame.
+    Returns a function of (n_DI, n_DS, n_UI, n_US) that divides the
+    fractions c/n by their fsum, which is not always 1.0 on the lattice,
+    so it reads the floats a ``StateDist`` of them stores, and asks
+    ``hjb.interval_rule`` for the interval there.
     """
-    dir_D = params.q_inf_D * params.v_H
-    dir_U = params.q_inf_U * params.v_H
-    b_DD, b_UD, b_DU, b_UU = params.beta_DD, params.beta_UD, params.beta_DU, params.beta_UU
-    lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
-    lam_D, lam_U = lam + q_D, lam + q_U
-    kappa = params.kappa
-    fsum, inf = math.fsum, math.inf
-    case_i, case_ii = case is StrategyCase.PREFER_UNPROTECTED, case is StrategyCase.PREFER_DEFENDED
-    # case iv is case iii with A and B swapped
-    swap = case is StrategyCase.DEFEND_INFECTED
+    rule = hjb_mod.interval_rule(params, case)
+    kappa, fsum = params.kappa, math.fsum
 
-    # -_least(-n, d) is n / d for d > 0, since (-n) / d is -(n / d);
-    # max(a, b) is b if b > a else a and min(a, b) is b if b < a else a
     def holds(c_DI, c_DS, c_UI, c_US):
         f_DI, f_UI = c_DI / n_agents, c_UI / n_agents
         total = fsum((f_DI, c_DS / n_agents, f_UI, c_US / n_agents))
-        x_DI, x_UI = f_DI / total, f_UI / total
-        alpha = dir_D + x_DI * b_DD + x_UI * b_UD
-        beta = dir_U + x_DI * b_DU + x_UI * b_UU
-        A = (beta + lam) * q_D - (alpha + lam) * q_U
-        B = beta * lam_D - alpha * lam_U
-        s, r = alpha + q_D, beta + q_U
-        P = s * (r + lam)
-        Q = (s + lam) * r
-        if case_i:  # [max(A/Q, B/Q), inf)
-            if Q > 0.0:
-                lo_A, lo_B = A / Q, B / Q
-            else:
-                lo_A = -inf if A <= 0.0 else inf
-                lo_B = -inf if B <= 0.0 else inf
-            return (lo_B if lo_B > lo_A else lo_A) <= kappa
-        if case_ii:  # (-inf, min(A/P, B/P)]
-            if P > 0.0:
-                hi_A, hi_B = A / P, B / P
-            else:
-                hi_A = inf if A >= 0.0 else -inf
-                hi_B = inf if B >= 0.0 else -inf
-            return kappa <= (hi_B if hi_B < hi_A else hi_A)
-        if swap:
-            A, B = B, A
-        # case iii [A/P, B/Q], case iv [B/P, A/Q]
-        lo = A / P if P > 0.0 else (-inf if A <= 0.0 else inf)
-        hi = B / Q if Q > 0.0 else (inf if B >= 0.0 else -inf)
+        lo, hi = rule(f_DI / total, f_UI / total)
         return lo <= kappa <= hi
 
     return holds
@@ -295,18 +258,12 @@ def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) 
 
 
 def _resolve_control(params: ModelParams, counts: list[float], n: int,
-                     incumbent: StrategyCase | None, notes: list[str],
-                     t: float) -> hjb_mod.HjbSolution | None:
-    """Myopic rule at the head-counts: None keeps the incumbent, a solution
-    is the switch.
-
-    While the incumbent's ``kept_test`` holds nothing is built or priced.
-    Otherwise the cheapest solution of ``enumerate_hjb`` at
-    ``_dist_of(counts, n)`` is adopted; if none holds the control is
-    retained and the gap is noted.
+                     notes: list[str], t: float) -> hjb_mod.HjbSolution | None:
+    """Myopic rule at the head-counts, run where no incumbent's ``kept_test``
+    holds: the cheapest solution of ``enumerate_hjb`` at
+    ``_dist_of(counts, n)``, or None, with the gap noted, when no case
+    holds and the control is retained.
     """
-    if incumbent is not None and kept_test(params, n, incumbent)(*counts):
-        return None
     x = _dist_of(counts, n)
     solutions = hjb_mod.enumerate_hjb(params, x)
     if not solutions:
@@ -324,7 +281,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     switches: list[SwitchEvent] = []
     kept: KeptTest | None = None  # no incumbent: each recompute runs the full rule
     if myopic:
-        sol = _resolve_control(params, counts4, n, None, notes, 0.0)
+        sol = _resolve_control(params, counts4, n, notes, 0.0)
         control = ControlVector(0, 0, 0, 0)
         if sol is not None:
             control, kept = sol.control, kept_test(params, n, sol.case)
@@ -377,7 +334,7 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             recompute = per_event
 
         if recompute and (kept is None or not kept(*counts4)):
-            sol = _resolve_control(params, counts4, n, None, notes, t)
+            sol = _resolve_control(params, counts4, n, notes, t)
             if sol is not None:
                 switches.append(SwitchEvent(t, _case_label(control), sol.case.label, sol.mu))
                 control = sol.control

@@ -32,6 +32,7 @@ from .model import (
 )
 
 EFFICIENCY_TIE_TOL = 1e-12
+MAX_SWEEP_STEPS = 10 ** 6  # grid points per sweep, each kept as one row in memory
 Bracketed = tuple[fp_mod.FixedPoint, float, float]
 
 
@@ -271,11 +272,14 @@ SWEEP_CSV_FIELDS = (
 
 
 def check_sweep(kappa_min: float, kappa_max: float, steps: int) -> None:
-    """Raise ValueError unless 0 <= kappa_min < kappa_max < inf and steps >= 2."""
+    """Raise ValueError unless 0 <= kappa_min < kappa_max < inf and
+    2 <= steps <= MAX_SWEEP_STEPS."""
     if not (0.0 <= kappa_min < kappa_max < math.inf):
         raise ValueError("need finite 0 <= kappa_min < kappa_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"steps exceeds {MAX_SWEEP_STEPS}")
 
 
 def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,

@@ -28,10 +28,12 @@ the validity regions in the cost ratio kappa = k_D/k_I are
 B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
 decided by the domain D1/D2 of x.  P and Q are never negative, so each
 region is one closed interval in kappa, exact at every lam and rate; these
-intervals (``case_interval``) alone decide whether a case holds, in
-``solve_case``'s ``valid`` flag too, and ``solve_case`` prices it.  An
-inequality whose P or Q vanishes holds for every kappa or for none; with
-P, Q > 0 the intervals are
+intervals alone decide whether a case holds, in ``solve_case``'s ``valid``
+flag too, and ``solve_case`` prices it.  ``interval_rule`` is the only
+place the rule lives: ``case_interval`` applies it at a StateDist and
+``agentsim.kept_test`` at head-counts, adding only the fsum normalization
+a StateDist makes.  An inequality whose P or Q vanishes holds for every
+kappa or for none; with P, Q > 0 the intervals are
 
     case i   : [max(A,B)/Q, inf)
     case ii  : (-inf, min(A,B)/P]
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +72,6 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
-    _alpha_beta,
     alpha_beta,
     check_denominator,
 )
@@ -78,6 +80,8 @@ from .model import (
 # degenerate; validity itself is decided by the exact case_interval
 DEGENERATE_SLACK = 1e-9
 RESIDUAL_SCALE = 1e-10
+# infected fractions (x_DI, x_UI) -> a case's kappa interval (lo, hi)
+IntervalRule = Callable[[float, float], tuple[float, float]]
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -168,9 +172,8 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase,
     margins in ``slack1``/``slack2``.  A caller that has just computed
     ``case_interval(params, x, case)`` passes it as ``interval``.
     """
+    lo, hi = interval if interval is not None else case_interval(params, x, case)
     alpha, beta = alpha_beta(params, x)
-    lo, hi = interval if interval is not None else _interval(
-        case, *_thresholds(params, alpha, beta))
     u, valid = case.control, lo <= params.kappa <= hi
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
     k_D, k_I = params.k_D, params.k_I
@@ -205,7 +208,7 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase,
         mu = (k_I * alpha * (beta + lam + q_U) + k_D * q_U * (alpha + lam + q_D)) / den
         return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
 
-    # DEFEND_INFECTED: _interval has rejected anything else
+    # DEFEND_INFECTED: interval_rule rejects anything else
     den = check_denominator(beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
                             "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
     den2 = check_denominator(lam * den, "lam*den")
@@ -241,47 +244,69 @@ def control_attains_min(sol: HjbSolution, tol: float) -> bool:
     return not (m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol)
 
 
-def _thresholds(params: ModelParams, alpha: float,
-                beta: float) -> tuple[float, float, float, float]:
-    """(A, B, P, Q) at the effective rates alpha, beta."""
+def interval_rule(params: ModelParams, case: StrategyCase) -> IntervalRule:
+    """case's kappa interval as a function of the infected fractions.
+
+    The only place the validity rule lives: returns a function of
+    (x_DI, x_UI) giving the interval (lo, hi), ends included, on which
+    case holds.  The rates and lam + q_rec are read once, here; each call
+    computes alpha, beta and the module docstring's A, B, P, Q, then the
+    ends.  Exact at every rate: an inequality kappa*d >= n or
+    kappa*d <= n with d = 0 holds for every kappa or for none, and then
+    bounds kappa by an infinity.  The case is valid for no finite kappa
+    when lo > hi or an end is infinite on the wrong side.
+    """
+    if not isinstance(case, StrategyCase):
+        raise ValueError(f"unknown case {case!r}")
+    dir_D = params.q_inf_D * params.v_H
+    dir_U = params.q_inf_U * params.v_H
+    b_DD, b_UD, b_DU, b_UU = params.beta_DD, params.beta_UD, params.beta_DU, params.beta_UU
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
-    return ((beta + lam) * q_D - (alpha + lam) * q_U,
-            beta * (lam + q_D) - alpha * (lam + q_U),
-            (alpha + q_D) * (beta + q_U + lam),
-            (alpha + q_D + lam) * (beta + q_U))
+    lam_D, lam_U = lam + q_D, lam + q_U
+    inf = math.inf
+    case_i, case_ii = case is StrategyCase.PREFER_UNPROTECTED, case is StrategyCase.PREFER_DEFENDED
+    # case iv is case iii with A and B swapped
+    swap = case is StrategyCase.DEFEND_INFECTED
+
+    # the least kappa with kappa*d >= n is n/d for d > 0, else -inf or inf;
+    # the greatest with kappa*d <= n is n/d for d > 0, else inf or -inf;
+    # max(a, b) is b if b > a else a and min(a, b) is b if b < a else a
+    def rule(x_DI, x_UI):
+        alpha = dir_D + x_DI * b_DD + x_UI * b_UD
+        beta = dir_U + x_DI * b_DU + x_UI * b_UU
+        A = (beta + lam) * q_D - (alpha + lam) * q_U
+        B = beta * lam_D - alpha * lam_U
+        s, r = alpha + q_D, beta + q_U
+        P = s * (r + lam)
+        Q = (s + lam) * r
+        if case_i:  # [max(A/Q, B/Q), inf)
+            if Q > 0.0:
+                lo_A, lo_B = A / Q, B / Q
+            else:
+                lo_A = -inf if A <= 0.0 else inf
+                lo_B = -inf if B <= 0.0 else inf
+            return (lo_B if lo_B > lo_A else lo_A), inf
+        if case_ii:  # (-inf, min(A/P, B/P)]
+            if P > 0.0:
+                hi_A, hi_B = A / P, B / P
+            else:
+                hi_A = inf if A >= 0.0 else -inf
+                hi_B = inf if B >= 0.0 else -inf
+            return -inf, (hi_B if hi_B < hi_A else hi_A)
+        if swap:
+            A, B = B, A
+        # case iii [A/P, B/Q], case iv [B/P, A/Q]
+        return (A / P if P > 0.0 else (-inf if A <= 0.0 else inf),
+                B / Q if Q > 0.0 else (inf if B >= 0.0 else -inf))
+
+    return rule
 
 
 def case_interval(params: ModelParams, x: StateDist,
                   case: StrategyCase) -> tuple[float, float]:
-    """The kappa interval (lo, hi), ends included, on which case is valid at x.
-
-    Exact at every rate: an inequality kappa*d >= n or kappa*d <= n with
-    d = 0 holds for every kappa or for none, and then bounds kappa by an
-    infinity.  The case is valid for no finite kappa when lo > hi or an
-    end is infinite on the wrong side.
-    """
-    return _interval(case, *_thresholds(params, *_alpha_beta(params, x.x_DI, x.x_UI)))
-
-
-def _interval(case: StrategyCase, A: float, B: float, P: float,
-              Q: float) -> tuple[float, float]:
-    """case_interval from the thresholds A, B, P, Q."""
-    if case is StrategyCase.PREFER_UNPROTECTED:
-        return max(_least(A, Q), _least(B, Q)), math.inf
-    if case is StrategyCase.PREFER_DEFENDED:
-        return -math.inf, min(-_least(-A, P), -_least(-B, P))
-    if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        return _least(A, P), -_least(-B, Q)
-    if case is StrategyCase.DEFEND_INFECTED:
-        return _least(B, P), -_least(-A, Q)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _least(n: float, d: float) -> float:
-    """Least kappa with kappa*d >= n, d >= 0; -_least(-n, d) is the greatest with <=."""
-    if d > 0.0:
-        return n / d
-    return -math.inf if n <= 0.0 else math.inf
+    """The kappa interval (lo, hi), ends included, on which case is valid at x
+    (``interval_rule`` at x's infected fractions)."""
+    return interval_rule(params, case)(x.x_DI, x.x_UI)
 
 
 def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
@@ -293,11 +318,10 @@ def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     the module docstring).  More than two distinct solutions raises
     TooManySolutions.
     """
-    A, B, P, Q = _thresholds(params, *_alpha_beta(params, x.x_DI, x.x_UI))
     kappa = params.kappa
     solutions = []
     for case in StrategyCase:
-        lo, hi = _interval(case, A, B, P, Q)
+        lo, hi = case_interval(params, x, case)
         if lo <= kappa <= hi:
             try:
                 solutions.append(solve_case(params, x, case, (lo, hi)))

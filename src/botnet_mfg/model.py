@@ -289,14 +289,9 @@ class EffectiveRates(NamedTuple):
 
 def alpha_beta(params: ModelParams, x: StateDist) -> EffectiveRates:
     """Effective infection intensities seen by defended / unprotected targets."""
-    return EffectiveRates(*_alpha_beta(params, x.x_DI, x.x_UI))
-
-
-def _alpha_beta(params: ModelParams, x_DI: float, x_UI: float) -> tuple[float, float]:
-    """alpha_beta on the two infected fractions, as raw floats."""
-    alpha = params.q_inf_D * params.v_H + x_DI * params.beta_DD + x_UI * params.beta_UD
-    beta = params.q_inf_U * params.v_H + x_DI * params.beta_DU + x_UI * params.beta_UU
-    return alpha, beta
+    return EffectiveRates(
+        params.q_inf_D * params.v_H + x.x_DI * params.beta_DD + x.x_UI * params.beta_UD,
+        params.q_inf_U * params.v_H + x.x_DI * params.beta_DU + x.x_UI * params.beta_UU)
 
 
 def _rhs_components(

@@ -33,7 +33,6 @@ from botnet_mfg.agentsim import (
     rate_table,
     replica_trajectories,
 )
-from botnet_mfg.model import _alpha_beta
 from botnet_mfg.validation import random_control, random_params
 from conftest import case_thresholds
 
@@ -460,15 +459,16 @@ class TestMyopicDecision:
             if not solutions or any(s.degenerate for s in solutions):
                 continue
             best = solutions[0]
-            notes = []
-            sol = _resolve_control(params, counts, n, incumbent, notes, 0.0)
-            if sol is None:
+            # a control outside the four cases has no kept test
+            if incumbent is not None and kept_test(params, n, incumbent)(*counts):
                 assert incumbent is best.case, (params, counts, incumbent)
             else:
+                notes = []
+                sol = _resolve_control(params, counts, n, notes, 0.0)
                 assert (sol.control, sol.mu) == (best.control, best.mu), (
                     params, counts, incumbent)
+                assert not notes
                 switched += 1
-            assert not notes
             compared += 1
         assert switched > 1000
 
@@ -487,9 +487,8 @@ class TestMyopicDecision:
             for case in StrategyCase:
                 if _interval_holds(params, counts, n, case):
                     calls.clear()
-                    notes = []
-                    assert _resolve_control(params, counts, n, case, notes, 0.0) is None
-                    assert not calls and not notes
+                    assert kept_test(params, n, case)(*counts)
+                    assert not calls
                     kept += 1
 
     def test_shared_end_keeps_incumbent(self):
@@ -504,12 +503,11 @@ class TestMyopicDecision:
                    if _interval_holds(params, counts, n, case)}
         assert holding == {CASE_II, CASE_III}
         for case in (CASE_II, CASE_III):
-            notes = []
-            assert _resolve_control(params, counts, n, case, notes, 0.0) is None
-            assert not notes
+            assert kept_test(params, n, case)(*counts)
         best = min((hjb.solve_case(params, x, case) for case in (CASE_II, CASE_III)),
                    key=lambda s: (s.mu, s.case.label))
-        sol = _resolve_control(params, counts, n, CASE_I, [], 0.0)
+        assert not kept_test(params, n, CASE_I)(*counts)
+        sol = _resolve_control(params, counts, n, [], 0.0)
         assert (sol.control, sol.mu) == (best.control, best.mu)
 
 
@@ -527,16 +525,15 @@ class TestKeptDecisionFromCounts:
                 if math.fsum(fractions) == 1.0:
                     continue
                 x = StateDist(*fractions)
-                raw = hjb._thresholds(GAP_PARAMS, *_alpha_beta(GAP_PARAMS, fractions[0],
-                                                                fractions[2]))
                 for case in StrategyCase:
+                    raw_rule = hjb.interval_rule(GAP_PARAMS, case)
                     for end in case_interval(GAP_PARAMS, x, case):
                         if not (math.isfinite(end) and end >= 0.0):
                             continue
                         params = GAP_PARAMS.with_kappa(end)
                         holds = _interval_holds(params, counts, n, case)
                         assert kept_test(params, n, case)(*counts) == holds, (n, counts, case)
-                        lo, hi = hjb._interval(case, *raw)
+                        lo, hi = raw_rule(fractions[0], fractions[2])
                         differs += (lo <= params.kappa <= hi) != holds
                         checked += 1
         assert checked > 100 and differs > 0
@@ -554,7 +551,7 @@ class TestKeptDecisionFromCounts:
             if k % 4 == 3:
                 # no infected agents: P = 0 under the first rates, Q = 0
                 # under the second, both with A = B = 0 under the third,
-                # so _least returns an infinity
+                # so an end is an infinity
                 zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
                         dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0),
                         dict(q_rec_D=0.0, q_rec_U=0.0, v_H=0.0))[k // 4 % 3]
@@ -571,11 +568,15 @@ class TestKeptDecisionFromCounts:
                 params = params.with_kappa(ends[rng.integers(len(ends))])
                 at_end += 1
             for incumbent in StrategyCase:
-                notes = []
-                kept = (_resolve_control(params, counts, n, incumbent, notes, 0.0) is None
-                        and not notes)
+                kept = kept_test(params, n, incumbent)(*counts)
                 assert kept == _interval_holds(params, counts, n, incumbent), (
                     params, counts, incumbent)
+                if not kept:
+                    # the full rule switches to a holding case, or notes the gap
+                    notes = []
+                    sol = _resolve_control(params, counts, n, notes, 0.0)
+                    assert (sol is None) == bool(notes), (params, counts, incumbent)
+                    assert sol is None or sol.case is not incumbent
         assert zero_denominators > 100 and at_end > 500
 
     def test_built_once_per_switch_and_never_for_a_fixed_control(self, monkeypatch):

@@ -295,6 +295,15 @@ class TestBadInputs:
         assert json.loads(err) == {"error": "invalid_sweep",
                                    "detail": "need finite 0 <= kappa_min < kappa_max"}
 
+    def test_sweep_rejects_more_steps_than_the_cap(self, config_path, capsys):
+        code, out, err = run(capsys, "sweep", "--config", config_path,
+                             "--kappa-min", "0", "--kappa-max", "1",
+                             "--steps", "10000000000000")
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "invalid_sweep",
+                                   "detail": "steps exceeds 1000000"}
+
     @pytest.mark.parametrize("policy, mode, error", [
         ("myopic", "events", "invalid_sim_config"),
         ("myopic", "", "invalid_sim_config"),

@@ -26,7 +26,7 @@ from botnet_mfg.hjb import (
 )
 from botnet_mfg.equilibrium import stationary_points
 from botnet_mfg.validation import _oracle_matches, random_params, random_state
-from conftest import case_thresholds
+from conftest import case_thresholds, reference_interval
 
 CASE_I = StrategyCase.PREFER_UNPROTECTED
 CASE_II = StrategyCase.PREFER_DEFENDED
@@ -251,7 +251,7 @@ class TestEnumerate:
     def test_three_distinct_solutions_raise(self, base_params, interior_state, monkeypatch):
         # the invariant is an explicit check, so it also holds under python -O;
         # with every interval the whole line, four distinct solutions are priced
-        monkeypatch.setattr(hjb, "_interval", lambda *args: (-math.inf, math.inf))
+        monkeypatch.setattr(hjb, "case_interval", lambda *args: (-math.inf, math.inf))
         with pytest.raises(TooManySolutions):
             enumerate_hjb(base_params, interior_state)
 
@@ -456,6 +456,37 @@ class TestCaseInterval:
                 lo = max(bands[a][0], bands[b][0])
                 hi = min(bands[a][1], bands[b][1])
                 assert hi <= lo + 1e-12 * max(1.0, abs(lo)), (a, b, bands)
+
+    def test_equals_the_reference_bit_for_bit(self, rng):
+        # no infected agents under zero rates: P = 0, Q = 0, or both with
+        # A = B = 0, so the reference's _least returns an infinity
+        zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
+                dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0),
+                dict(q_rec_D=0.0, q_rec_U=0.0, v_H=0.0))
+        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
+        zero_denominators = at_end = 0
+        for k in range(3000):
+            params = random_params(rng, lam=lams[k % 5], equal_recovery=k % 7 == 0)
+            x = random_state(rng)
+            if k % 4 == 3:
+                params = replace(params, **zero[k // 4 % 3])
+                x = StateDist(0.0, x.x_DI + x.x_DS, 0.0, x.x_UI + x.x_US)
+            th = case_thresholds(params, x)
+            zero_denominators += th["P"] == 0.0 or th["Q"] == 0.0
+            ends = [end for case in StrategyCase for end in reference_interval(params, x, case)
+                    if math.isfinite(end) and end >= 0.0]
+            if ends and k % 2:
+                params = params.with_kappa(ends[rng.integers(len(ends))])
+                at_end += 1
+            for case in StrategyCase:
+                got, want = case_interval(params, x, case), reference_interval(params, x, case)
+                # the bytes tell a zero's sign and an infinity's
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (params, x, case)
+        assert zero_denominators > 500 and at_end > 1000
+
+    def test_rejects_an_unknown_case(self, base_params):
+        with pytest.raises(ValueError, match="unknown case"):
+            hjb.interval_rule(base_params, "i")
 
     def test_zero_denominator_gives_exact_intervals(self):
         # no recovery and no pressure on a defended susceptible: P = 0 at DS,
