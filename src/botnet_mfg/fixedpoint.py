@@ -57,7 +57,6 @@ class FixedPoint:
     eigenvalues: tuple[complex, complex, complex]
     stable: bool
     method: str                # closed_form | quartic_numeric | large_lambda
-    interior: bool = True      # False for the disease-free boundary fallback
 
     def to_record(self) -> dict:
         eigs = (v for z in self.eigenvalues for v in (z.real, z.imag))
@@ -65,27 +64,28 @@ class FixedPoint:
                                      *eigs, self.stable, self.method)))
 
 
-def endemic_root(contact: float, recovery: float, direct: float) -> tuple[float, bool]:
-    """Root in (0, 1] of contact*y^2 + y*(recovery - contact + direct) - direct.
+def endemic_root(contact: float, recovery: float, direct: float) -> float:
+    """Root in [0, 1] of contact*y^2 + y*(recovery - contact + direct) - direct.
 
-    Returns (root, interior).  With direct pressure the root is interior;
-    without it the infection is endemic only above the contact threshold,
-    otherwise the disease-free root 0 is returned with interior=False.
-    A vanishing contact rate degenerates to the linear balance point.
+    With direct pressure the root is interior; without it the infection is
+    endemic only above the contact threshold, otherwise the disease-free
+    root 0 is returned.  A vanishing contact rate degenerates to the linear
+    balance point.  Where recovery - contact + direct > 0 the root is taken
+    in the conjugate form, which does not cancel at large recovery rates.
+    Raises OverflowError when the discriminant is not finite.
     """
     b, q, p = contact, recovery, direct
     if b <= 0.0:
         # linear limit of the quadratic root
-        if p <= 0.0:
-            return 0.0, False
-        return p / (q + p), True
+        return p / (q + p) if p > 0.0 else 0.0
     if p <= 0.0:
-        if b > q:
-            return (b - q) / b, True
-        return 0.0, False
+        return (b - q) / b if b > q else 0.0
     disc = (b + p) ** 2 + q * q - 2.0 * q * (b - p)
-    root = (b - q - p + math.sqrt(disc)) / (2.0 * b)
-    return root, True
+    if not math.isfinite(disc):
+        raise OverflowError(f"non-finite discriminant of the endemic quadratic: {disc}")
+    if b - q - p < 0.0:
+        return 2.0 * p / ((q - b + p) + math.sqrt(disc))
+    return (b - q - p + math.sqrt(disc)) / (2.0 * b)
 
 
 def fixed_point_acyclic(params: ModelParams, case: StrategyCase) -> FixedPoint:
@@ -95,16 +95,14 @@ def fixed_point_acyclic(params: ModelParams, case: StrategyCase) -> FixedPoint:
     epidemic balance; case ii is the mirror image.
     """
     if case is StrategyCase.PREFER_UNPROTECTED:
-        root, interior = endemic_root(params.beta_UU, params.q_rec_U,
-                                      params.q_inf_U * params.v_H)
+        root = endemic_root(params.beta_UU, params.q_rec_U, params.q_inf_U * params.v_H)
         x = StateDist(0.0, 0.0, root, 1.0 - root)
     elif case is StrategyCase.PREFER_DEFENDED:
-        root, interior = endemic_root(params.beta_DD, params.q_rec_D,
-                                      params.q_inf_D * params.v_H)
+        root = endemic_root(params.beta_DD, params.q_rec_D, params.q_inf_D * params.v_H)
         x = StateDist(root, 1.0 - root, 0.0, 0.0)
     else:
         raise ValueError(f"{case} is not an acyclic case")
-    return _point(params, x, case, "closed_form", interior)
+    return _point(params, x, case, "closed_form")
 
 
 def _swap_du(params: ModelParams) -> ModelParams:
@@ -287,16 +285,14 @@ def fixed_point_mixed_asymptotic(params: ModelParams, case: StrategyCase) -> Fix
     defended-side direct pressure, case iv mirrors it.
     """
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        root, interior = endemic_root(params.beta_UD, params.q_rec_U,
-                                      params.q_inf_D * params.v_H)
+        root = endemic_root(params.beta_UD, params.q_rec_U, params.q_inf_D * params.v_H)
         x = StateDist(0.0, 1.0 - root, root, 0.0)
     elif case is StrategyCase.DEFEND_INFECTED:
-        root, interior = endemic_root(params.beta_DU, params.q_rec_D,
-                                      params.q_inf_U * params.v_H)
+        root = endemic_root(params.beta_DU, params.q_rec_D, params.q_inf_U * params.v_H)
         x = StateDist(root, 0.0, 0.0, 1.0 - root)
     else:
         raise ValueError(f"{case} is not a mixed case")
-    return _point(params, x, case, "large_lambda", interior)
+    return _point(params, x, case, "large_lambda")
 
 
 # coordinate eliminated by the simplex constraint when reducing to 3 variables
@@ -322,11 +318,10 @@ def reduced_jacobian(params: ModelParams, x: StateDist, u: ControlVector,
     return full[np.ix_(keep, keep)] - full[keep, eliminated][:, None]
 
 
-def _point(params: ModelParams, x: StateDist, case: StrategyCase, method: str,
-           interior: bool = True) -> FixedPoint:
+def _point(params: ModelParams, x: StateDist, case: StrategyCase, method: str) -> FixedPoint:
     """The fixed point at x with its eigenvalues and stability filled in."""
     eigs, stable = stability(params, x, case)
-    return FixedPoint(x, case, eigs, stable, method, interior)
+    return FixedPoint(x, case, eigs, stable, method)
 
 
 def stability(params: ModelParams, x: StateDist,

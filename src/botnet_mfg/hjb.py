@@ -55,16 +55,25 @@ returns the same cases and flags.  Scaling the rates too (a change of
 time unit) leaves every interval as it is: a closed form fails only on a
 denominator exactly zero (DegenerateDenominator) or a non-finite
 solution (OverflowError), never on an absolute floor.
+
+The 16-control oracle (``oracle_enumerate``) checks the closed forms
+without them.  With g_US = 0 the US line gives mu = lam*u_US*g_DS +
+beta*g_UI; the other three lines minus it are a 3x3 system in (g_DI,
+g_DS, g_UI), solved by scalar Gaussian elimination.  The system is
+regular iff the control's 4-state chain has one closed class (unichain;
+Puterman 1994, ch. 8-9).  Reachability decides this exactly from which
+rates are zero, and a multichain control, which has no unique (g, mu),
+is skipped: u = 0000 always, more where q_rec, alpha or beta is 0.  The
+oracle's only tolerance is DEGENERATE_SLACK*k_I on the line margins.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import (
     ControlVector,
@@ -84,8 +93,9 @@ RESIDUAL_SCALE = 1e-10
 IntervalRule = Callable[[float, float], tuple[float, float]]
 
 
-class SingularSystem(np.linalg.LinAlgError):
-    """The fixed-control linear system is rank-deficient."""
+class SingularSystem(ArithmeticError):
+    """A unichain fixed-control system met an exactly zero pivot in the
+    oracle's elimination (multichain controls are skipped, not raised)."""
 
 
 class TooManySolutions(ArithmeticError):
@@ -124,8 +134,9 @@ class HjbSolution:
     def case(self) -> StrategyCase | None:
         return self.control.case
 
-    def g_array(self) -> np.ndarray:
-        return np.array([self.g_DI, self.g_DS, self.g_UI, self.g_US])
+    @property
+    def g(self) -> tuple[float, float, float, float]:
+        return (self.g_DI, self.g_DS, self.g_UI, self.g_US)
 
     def to_record(self) -> dict:
         rec = {name: getattr(self, name) for name in CSV_FIELDS}
@@ -337,85 +348,79 @@ def _distinct(solutions: list[HjbSolution], tol: float) -> list[HjbSolution]:
     """Solutions in order, dropping any equal within tol (mu and g) to an earlier one."""
     distinct: list[HjbSolution] = []
     for sol in solutions:
-        if not any(
-            abs(sol.mu - other.mu) <= tol
-            and abs(sol.g_DI - other.g_DI) <= tol and abs(sol.g_DS - other.g_DS) <= tol
-            and abs(sol.g_UI - other.g_UI) <= tol and abs(sol.g_US - other.g_US) <= tol
-            for other in distinct
-        ):
+        if not any(all(abs(a - b) <= tol for a, b in zip((sol.mu, *sol.g), (other.mu, *other.g)))
+                   for other in distinct):
             distinct.append(sol)
     return distinct
 
 
 ALL_CONTROLS = [ControlVector(*bits) for bits in itertools.product((0, 1), repeat=4)]
-_CONTROL_BITS = np.array([u.as_tuple() for u in ALL_CONTROLS], dtype=float)
-# line i of the optimality system toggles state i to its partner state
+# state i of (DI, DS, UI, US) toggles to _PARTNER[i] and recovers or is infected to _NATURAL[i]
 _PARTNER = (2, 3, 0, 1)
-# the rate-free entries: -mu on every line and the normalization g_US = 0
-_ORACLE_TEMPLATE = np.zeros((16, 5, 5))
-_ORACLE_TEMPLATE[:, :4, 4] = -1.0
-_ORACLE_TEMPLATE[:, 4, 3] = 1.0
+_NATURAL = (1, 0, 3, 2)
 
 
-def _oracle_systems(params: ModelParams, alpha: float,
-                    beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 fixed-control systems in the unknowns (g_DI, g_DS, g_UI, g_US,
-    mu), matrices and right-hand sides, in ALL_CONTROLS order.
-
-    Each rate entry is computed as lam*u or -lam*u - rate, so its float,
-    the sign of a zero included, is that of the scalar formula.
+@functools.cache
+def _unichain(positive: tuple[bool, bool, bool, bool]) -> tuple[ControlVector, ...]:
+    """The controls, in ALL_CONTROLS order, whose 4-state chain is unichain,
+    given which of (q_rec_D, alpha, q_rec_U, beta) are positive.  lam > 0,
+    so a state also moves to its partner wherever u toggles it.  A finite
+    chain has one closed class iff some state is reachable from every state.
     """
-    lam = params.lam
-    mats = _ORACLE_TEMPLATE.copy()
-    up, down = lam * _CONTROL_BITS, -lam * _CONTROL_BITS
-    rates = ((params.q_rec_D, 1), (alpha, 0), (params.q_rec_U, 3), (beta, 2))
-    for row, (rate, other) in enumerate(rates):
-        mats[:, row, row] = down[:, row] - rate
-        mats[:, row, _PARTNER[row]] = up[:, row]
-        mats[:, row, other] = rate
-    rhs = np.zeros((16, 5))
-    rhs[:, :3] = (-(params.k_I + params.k_D), -params.k_D, -params.k_I)
-    return mats, rhs
+    kept = []
+    for u in ALL_CONTROLS:
+        reach = [{i} | ({_PARTNER[i]} if bit else set()) | ({_NATURAL[i]} if on else set())
+                 for i, (bit, on) in enumerate(zip(u.as_tuple(), positive))]
+        for _ in range(2):  # paths of 1 step, then 2, then 4
+            reach = [set().union(*(reach[j] for j in r)) for r in reach]
+        if set.intersection(*reach):
+            kept.append(u)
+    return tuple(kept)
+
+
+def _eliminate(r0: tuple, r1: tuple, r2: tuple) -> tuple[float, float, float]:
+    """(x0, x1, x2) solving the three rows (a0, a1, a2, b) of
+    a0*x0 + a1*x1 + a2*x2 = b, by Gaussian elimination with partial
+    pivoting.  Raises SingularSystem on an exactly zero pivot."""
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    a00, a01, a02, b0 = r0
+    try:  # every pivot is a divisor
+        f1, f2 = r1[0] / a00, r2[0] / a00
+        a11, a12, b1 = r1[1] - f1 * a01, r1[2] - f1 * a02, r1[3] - f1 * b0
+        a21, a22, b2 = r2[1] - f2 * a01, r2[2] - f2 * a02, r2[3] - f2 * b0
+        if abs(a21) > abs(a11):
+            a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+        f = a21 / a11
+        x2 = (b2 - f * b1) / (a22 - f * a12)
+    except ZeroDivisionError as exc:
+        raise SingularSystem("zero pivot") from exc
+    x1 = (b1 - a12 * x2) / a11
+    return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
 def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
-    """Brute-force check: solve the fixed-control linear system for all 16
-    binary controls and keep those whose control attains every minimum.
-
-    Independent of the closed forms; must agree with enumerate_hjb.
-    Solutions equal up to an additive shift of g are deduplicated.
+    """Brute-force check: solve the fixed-control system of every unichain
+    binary control (module docstring) and keep those whose control attains
+    every minimum, sorted by mu, dropping any equal within
+    DEGENERATE_SLACK*k_I to an earlier one.  Independent of the closed forms
+    and of ``interval_rule``; must agree with enumerate_hjb.
     """
-    mats, rhs = _oracle_systems(params, *alpha_beta(params, x))
-
-    # controls that disconnect the chain (e.g. u = 0 everywhere) make the
-    # one-average-cost system rank-deficient; those are solved in the
-    # least-squares sense and kept only when actually consistent
-    dets = np.abs(np.linalg.det(mats))
-    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-    regular = dets > 1e-9 * hadamard
-    sols = np.full((16, 5), np.nan)
-    if regular.any():
-        try:
-            sols[regular] = np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(sols[regular])):
-            raise SingularSystem("non-finite solution of the fixed-control system")
-    for i in np.where(~regular)[0]:
-        z = np.linalg.lstsq(mats[i], rhs[i], rcond=None)[0]
-        if np.max(np.abs(mats[i] @ z - rhs[i])) <= 1e-8 * np.max(np.abs(rhs[i])):
-            sols[i] = z
-
-    tol = DEGENERATE_SLACK * params.k_I
-    finite = np.isfinite(sols).all(axis=1)
+    alpha, beta = alpha_beta(params, x)
+    lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
+    k_D, k_I = params.k_D, params.k_I
+    tol = DEGENERATE_SLACK * k_I
     kept: list[HjbSolution] = []
-    for i, u in enumerate(ALL_CONTROLS):
-        if not finite[i]:
-            continue
-        g_DI, g_DS, g_UI, g_US, mu = sols[i].tolist()
-        m_DI, m_DS, m_UI, m_US = _margins(u, g_DI, g_DS, g_UI, g_US)
-        if m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol:
-            continue
-        kept.append(_finish(params, u, (g_DI, g_DS, g_UI, g_US), mu, True))
+    for u in _unichain((q_D > 0.0, alpha > 0.0, q_U > 0.0, beta > 0.0)):
+        t_DI, t_DS, t_UI, t_US = lam * u.u_DI, lam * u.u_DS, lam * u.u_UI, lam * u.u_US
+        g_DI, g_DS, g_UI = _eliminate((-(t_DI + q_D), q_D - t_US, t_DI - beta, -(k_I + k_D)),
+                                      (alpha, -(t_DS + alpha) - t_US, -beta, -k_D),
+                                      (t_UI, -t_US, -(t_UI + q_U) - beta, -k_I))
+        m_DI, m_DS, m_UI, m_US = _margins(u, g_DI, g_DS, g_UI, 0.0)
+        if not (m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol):
+            kept.append(_finish(params, u, (g_DI, g_DS, g_UI, 0.0),
+                                t_US * g_DS + beta * g_UI, True))
 
     return _distinct(sorted(kept, key=lambda s: (s.mu, s.case.label if s.case else "z")), tol)

@@ -167,7 +167,7 @@ def _oracle_matches(params: ModelParams, x: StateDist, tol: float = 1e-9) -> boo
         ref = by_case[sol.case]
         if abs(sol.mu - ref.mu) > tol:
             return False
-        if float(np.max(np.abs(sol.g_array() - ref.g_array()))) > tol:
+        if max(abs(a - b) for a, b in zip(sol.g, ref.g)) > tol:
             return False
     return True
 

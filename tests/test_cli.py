@@ -347,17 +347,17 @@ GOLDEN_SHA256 = {
     ("hjb", "json"):
         "6422d3a349abed3babd42bac045dc6169c428568ebfd1b41614330d5f8dee394",
     ("fixed-points", "csv"):
-        "1bd1a414fda057367f2e78261986d9b18064f99838422a93a8f35ea0d00ad423",
+        "46be47b8615725dbfdb968d21e09989d3bc71199d81cadff8ea184a0f3ed5ff1",
     ("fixed-points", "json"):
-        "b739a748faadd8168c4881df15edaa9e418b98c214c8af9d159d78a7216899d4",
+        "8057a34ec467868f9ac38ccd8e0e3d0bf6ba728ace07619ef9bf5e69c19db52d",
     ("equilibria", "csv"):
         "67dc4be69f608e58425e9b9130b8f50d97136f701eb9868792fbe48a96fb1d9d",
     ("equilibria", "json"):
         "4e12b9d8ca2009a35e0bf8ea9e474191844e959b9bd0890cbe1816d13d2f3a43",
     ("thresholds", "csv"):
-        "31eb1d8ce0ef77830de19d917426bace092256cf6c71f07bd918d55d532975fc",
+        "c7f082c2369585289883ab0551358171c965b65a581c2add48e5e16c38451d2f",
     ("thresholds", "json"):
-        "82f9f302cc8a9897d6f82eada39ec5e974f0b96cc5d8ceb964ff13dbba46771e",
+        "90b7e17c01e7ba7f7b349f0db380f069d76852d914164be0150bed85303a79cb",
     ("sweep", "csv"):
         "928e38f2f43fc5d4b8829663ee5ac5495a100421d01c957c1b13aa6f1cde050f",
     ("sweep", "json"):
@@ -504,6 +504,16 @@ class TestFloatRange:
         assert code == 1 and not out
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "degenerate_rates"
+
+    def test_large_recovery_rate_keeps_the_endemic_root(self, config_path, capsys):
+        # with beta_UU = 4 and direct pressure 1, the textbook root
+        # (4 - q_rec_U - 1 + sqrt(disc))/8 cancels to 0 at q_rec_U = 1e10;
+        # the conjugate form keeps x_UI = 1/(q_rec_U - 3) to rounding
+        code, out, err = run(capsys, "fixed-points", "--config", config_path,
+                             "--set", "q_rec_U=1e10", "--format", "json")
+        assert code == 0 and not err
+        point = next(p for p in json.loads(out) if p["case"] == "i")
+        assert point["x_UI"] > 0.0
 
     def test_sweep_checks_its_bounds_before_solving(self, config_path, capsys):
         code, out, err = run(capsys, "sweep", "--config", config_path,

@@ -48,34 +48,59 @@ def _mk(lam=10.0, **kw):
 
 class TestEndemicRoot:
     def test_golden_ratio_case(self):
-        root, interior = endemic_root(1.0, 1.0, 1.0)
-        assert interior
+        root = endemic_root(1.0, 1.0, 1.0)
         assert root == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_sis_limit_without_direct_pressure(self):
-        root, interior = endemic_root(2.0, 1.0, 0.0)
-        assert interior
+        root = endemic_root(2.0, 1.0, 0.0)
         assert root == pytest.approx(0.5, abs=1e-15)
 
     def test_subcritical_returns_disease_free(self):
-        root, interior = endemic_root(1.0, 2.0, 0.0)
-        assert root == 0.0 and not interior
+        assert endemic_root(1.0, 2.0, 0.0) == 0.0
 
     def test_zero_contact_linear_fallback(self):
-        root, interior = endemic_root(0.0, 1.0, 1.0)
-        assert interior
+        root = endemic_root(0.0, 1.0, 1.0)
         assert root == pytest.approx(0.5)
 
     def test_root_is_interior_with_positive_pressure(self, rng):
         for _ in range(10_000):
             b, q, p = rng.uniform(0.0, 5.0, size=3)
             p = max(p, 1e-6)
-            root, interior = endemic_root(float(b), float(q), float(p))
-            assert interior
+            root = endemic_root(float(b), float(q), float(p))
             assert 0.0 < root < 1.0
             if b > 0.0:
                 poly = b * root * root + root * (q - b + p) - p
                 assert abs(poly) <= 1e-12 * max(1.0, b, q, p)
+
+
+    def test_conjugate_form_where_recovery_dominates(self):
+        # q - b + p > 0 takes 2p/((q - b + p) + sqrt(disc)); the textbook
+        # form loses every digit of a root near p/q to cancellation
+        root = endemic_root(4.0, 1e10, 1.0)
+        assert root == pytest.approx(1e-10, rel=1e-9)
+        assert abs(4.0 * root * root + root * (1e10 - 4.0 + 1.0) - 1.0) <= 1e-15
+
+    def test_non_finite_discriminant_raises(self):
+        with pytest.raises(OverflowError):
+            endemic_root(4.0, 1e200, 1.0)
+
+
+class TestLargeRecovery:
+    """Acyclic and large-lam points at recovery rates up to 1e12."""
+
+    @pytest.mark.parametrize("name", ["q_rec_U", "q_rec_D"])
+    @pytest.mark.parametrize("rate", [1e4, 1e8, 1e10, 1e12])
+    def test_residual_within_tolerance(self, name, rate):
+        params = _mk(**{name: rate})
+        for case in (CASE_I, CASE_II):
+            fp = fixed_point_acyclic(params, case)
+            assert fixed_point_residual(params, fp) <= fixedpoint.RESIDUAL_TOL, case
+        for case in (CASE_III, CASE_IV):
+            # as lam -> inf the toggled states empty at once, so the limit
+            # point's residual is the drift of the infected mass
+            fp = fixed_point_mixed_asymptotic(params, case)
+            d_DI, _, d_UI, _ = kinetic_rhs(params, fp.x, case.control).tolist()
+            assert abs(d_DI + d_UI) <= fixedpoint.RESIDUAL_TOL, case
 
 
 class TestAcyclic:
@@ -88,13 +113,12 @@ class TestAcyclic:
     def test_no_attacker_supercritical(self):
         params = _mk(v_H=0.0, beta_UU=2.0, q_rec_U=1.0)
         fp = fixed_point_acyclic(params, CASE_I)
-        assert fp.interior
         assert fp.x.x_UI == pytest.approx(0.5, abs=1e-15)
 
     def test_no_attacker_subcritical_flags_boundary(self):
         params = _mk(v_H=0.0, beta_UU=1.0, q_rec_U=2.0)
         fp = fixed_point_acyclic(params, CASE_I)
-        assert not fp.interior
+        assert fp.x.x_UI == 0.0
         assert fp.x.as_tuple() == (0.0, 0.0, 0.0, 1.0)
         assert fixed_point_residual(params, fp) == 0.0
 

@@ -39,7 +39,7 @@ class TestSolveCase:
         params = replace(base_params, k_D=0.0, k_I=1e-300)
         sol = solve_case(params, interior_state, CASE_I)
         assert sol.mu == pytest.approx(0.0, abs=1e-290)
-        assert np.allclose(sol.g_array(), 0.0, atol=1e-290)
+        assert np.allclose(sol.g, 0.0, atol=1e-290)
 
     def test_case_i_average_cost_formula(self):
         # mu = beta*k_I/(beta + q_rec_U); beta = 1 and q_rec_U = 1 give 1/2
@@ -77,7 +77,7 @@ class TestSolveCase:
             x = random_state(rng)
             for case in StrategyCase:
                 sol = solve_case(params, x, case)
-                assert min(sol.g_array()) == pytest.approx(0.0, abs=1e-15)
+                assert min(sol.g) == pytest.approx(0.0, abs=1e-15)
 
     def test_slacks_match_threshold_inequalities(self, rng):
         # the g-difference margins carry the sign of the kappa-band tests
@@ -118,7 +118,7 @@ class TestExactDenominators:
                 solve_case(params, interior_state, CASE_I)
         else:
             sol = solve_case(params, interior_state, CASE_I)
-            assert all(math.isfinite(v) for v in (*sol.g_array(), sol.mu))
+            assert all(math.isfinite(v) for v in (*sol.g, sol.mu))
 
     def test_non_finite_solution_raises(self, interior_state):
         # lambda = 1e308 overflows the case-i numerator and denominator alike
@@ -273,11 +273,11 @@ class TestEnumerate:
         assert {s.case for s in sols} == set(StrategyCase)
         for sol in sols[1:]:
             assert sol.mu == pytest.approx(sols[0].mu, abs=1e-12)
-            assert np.allclose(sol.g_array(), sols[0].g_array(), rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.g, sols[0].g, rtol=0.0, atol=1e-12)
         brute = oracle_enumerate(params, x)
         assert len(brute) == 1
         assert brute[0].mu == pytest.approx(sols[0].mu, abs=1e-12)
-        assert np.allclose(brute[0].g_array(), sols[0].g_array(), rtol=0.0, atol=1e-12)
+        assert np.allclose(brute[0].g, sols[0].g, rtol=0.0, atol=1e-12)
 
     def test_cost_scale_free(self, rng):
         # g, mu and the slacks are linear in (k_D, k_I): scaling both by c
@@ -294,8 +294,8 @@ class TestEnumerate:
                 for case, sol in ref.items():
                     got = solve_case(scaled, x, case)
                     assert (got.valid, got.degenerate) == (sol.valid, sol.degenerate)
-                    want = np.array([sol.mu, *sol.g_array()])
-                    err = np.abs(np.array([got.mu, *got.g_array()]) - c * want)
+                    want = np.array([sol.mu, *sol.g])
+                    err = np.abs(np.array([got.mu, *got.g]) - c * want)
                     assert np.max(err) <= 1e-12 * c * np.max(np.abs(want)), (params, c, case)
                 assert _oracle_matches(scaled, x, tol=1e-9 * c), (params, c)
 
@@ -314,7 +314,7 @@ class TestOracle:
         assert [s.case for s in sols] == [CASE_II]
         assert not sols[0].degenerate
         assert sols[0].mu == pytest.approx(0.0, abs=1e-290)
-        assert np.allclose(sols[0].g_array(), 0.0, atol=1e-290)
+        assert np.allclose(sols[0].g, 0.0, atol=1e-290)
 
     def test_fields_are_python_floats(self, rng):
         names = ("g_DI", "g_DS", "g_UI", "g_US", "mu", "slack1", "slack2")
@@ -361,21 +361,77 @@ class TestOracle:
             sols = oracle_enumerate(params, random_state(rng))
             assert len(sols) <= 2
 
-    def test_systems_match_the_scalar_formulas(self, rng):
-        for k in range(400):
-            params = random_params(rng, lam=(1.0, 10.0, 1000.0, 2000.0)[k % 4])
-            if k % 2:
-                zeroed = ("q_rec_D", "q_rec_U", "k_D")[: k % 4]
-                params = replace(params, **dict.fromkeys(zeroed, 0.0))
-            alpha, beta = (0.0, 0.0) if k % 5 == 0 else alpha_beta(params, random_state(rng))
-            mats, rhs = hjb._oracle_systems(params, alpha, beta)
-            ref_mats, ref_rhs = _scalar_systems(params, alpha, beta)
-            assert mats.tobytes() == ref_mats.tobytes()
-            assert rhs.tobytes() == ref_rhs.tobytes()
+    def test_kept_solutions_solve_their_five_by_five_systems(self, rng):
+        # the reference: numpy's LU solve of the full system in
+        # (g_DI, g_DS, g_UI, g_US, mu) for the kept control
+        solved = 0
+        draws = [(random_params(rng), random_state(rng)) for _ in range(200)]
+        for params, x in draws + list(_zero_rate_draws(rng, 400)):
+            mats, rhs = _scalar_systems(params, *alpha_beta(params, x))
+            for sol in oracle_enumerate(params, x):
+                i = hjb.ALL_CONTROLS.index(sol.control)
+                *g, mu = np.linalg.solve(mats[i], rhs[i]).tolist()
+                g = [v - min(g) for v in g]
+                for got, want in zip((*sol.g, sol.mu), (*g, mu)):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (params, x, sol)
+                solved += 1
+        assert solved > 500
+
+    def test_unichain_rule_at_the_extremes(self):
+        # every rate positive: only u = 0000 leaves the defended and the
+        # unprotected pair closed; every rate zero: no control connects
+        # the DI-UI toggle pair to the DS-US one
+        assert hjb._unichain((True,) * 4) == tuple(hjb.ALL_CONTROLS[1:])
+        assert hjb._unichain((False,) * 4) == ()
+
+    def test_multichain_case_controls_are_the_degenerate_denominators(self, rng):
+        # where a zero rate splits a case's chain, its closed form has a
+        # zero denominator, and the oracle, which skips the split control,
+        # still agrees with the closed forms
+        split = 0
+        for params, x in _zero_rate_draws(rng, 2000):
+            alpha, beta = alpha_beta(params, x)
+            unichain = hjb._unichain((params.q_rec_D > 0.0, alpha > 0.0,
+                                      params.q_rec_U > 0.0, beta > 0.0))
+            for case in StrategyCase:
+                try:
+                    solve_case(params, x, case)
+                    degenerate = False
+                except DegenerateDenominator:
+                    degenerate = True
+                assert (case.control not in unichain) == degenerate, (params, x, case)
+                split += degenerate
+            assert _oracle_matches(params, x), (params, x)
+        assert split > 500
+
+    def test_zero_pivot_raises_singular_system(self):
+        assert issubclass(hjb.SingularSystem, ArithmeticError)
+        with pytest.raises(hjb.SingularSystem):
+            hjb._eliminate((1.0, 2.0, 3.0, 1.0), (2.0, 4.0, 6.0, 2.0), (0.0, 1.0, 1.0, 0.0))
+
+
+def _zero_rate_draws(rng, n):
+    """Draws with natural rates exactly zero: no direct pressure and no
+    infected agents (alpha = beta = 0), q_rec_D = 0, q_rec_U = 0, and
+    their combinations."""
+    lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
+    for k in range(n):
+        params = random_params(rng, lam=lams[k % 5])
+        x = random_state(rng)
+        kind, zeroed = k % 7, {}
+        if kind in (0, 4, 5, 6):
+            zeroed.update(q_inf_D=0.0, q_inf_U=0.0)
+            x = StateDist(0.0, x.x_DI + x.x_DS, 0.0, x.x_UI + x.x_US)
+        if kind in (1, 3, 4, 6):
+            zeroed["q_rec_D"] = 0.0
+        if kind in (2, 3, 5, 6):
+            zeroed["q_rec_U"] = 0.0
+        yield replace(params, **zeroed), x
 
 
 def _scalar_systems(params, alpha, beta):
-    """The 16 fixed-control systems, entry by entry."""
+    """The 16 fixed-control systems in (g_DI, g_DS, g_UI, g_US, mu), with
+    g_US = 0 as the fifth line, entry by entry, in ALL_CONTROLS order."""
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
     mats = np.zeros((16, 5, 5))
     rhs = np.zeros((16, 5))
