@@ -27,8 +27,6 @@ import json
 import sys
 from typing import Any, Callable
 
-import numpy as np
-
 from . import agentsim, equilibrium, fixedpoint, hjb, validation
 from .model import (
     STATE_FIELDS,
@@ -186,12 +184,10 @@ def solved(compute: Callable[..., Any], *args) -> Any:
     """Run a solver call, reporting its failure as degenerate_rates.
 
     A vanishing denominator, a non-finite Bellman solution or rates past
-    the float range fail as an ArithmeticError or a ValueError.  numpy's
-    float warnings are off, so stderr holds only the error record.
+    the float range fail as an ArithmeticError or a ValueError.
     """
     try:
-        with np.errstate(all="ignore"):
-            return compute(*args)
+        return compute(*args)
     except (ArithmeticError, ValueError) as exc:
         raise CliError("degenerate_rates", str(exc)) from exc
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from . import fixedpoint as fp_mod
 from . import hjb as hjb_mod
 from .model import (
@@ -298,8 +296,11 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
     points = _bracketed_points(params)
     ends = [end for _, lo, hi in points if lo <= hi
             for end in (lo, hi) if math.isfinite(end)]
-    step = (kappa_max - kappa_min) / (steps - 1)
-    kappas = np.linspace(kappa_min, kappa_max, steps).tolist()
+    span = kappa_max - kappa_min
+    step = span / (steps - 1)
+    # numpy.linspace's grid, float for float (i/(steps - 1)*span where step underflows to 0)
+    kappas = [(i * step if step else i / (steps - 1) * span) + kappa_min
+              for i in range(steps - 1)] + [kappa_max]
     grid = [params.with_kappa(kappa) for kappa in kappas]
     edges = [grid[0].kappa - step, *(p.kappa for p in grid), grid[-1].kappa + step]
     rows = []
@@ -315,3 +316,4 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
             near_bifurcation=near,
         ))
     return rows
+

@@ -15,15 +15,17 @@ zero to within ROOT_ZERO_TOL, as for two roots about 1e-7 apart.  Case iv
 is the mirror image of case iii under the relabeling that swaps the
 defended and unprotected sides: it reuses the case-iii states of the
 relabeled problem, swapped back.  A spectrum is computed only for a
-point that is returned.
+point that is returned: in closed form at an acyclic point, and at a
+mixed point as the roots of the reduced Jacobian's characteristic cubic.
+Everything is computed in Python floats, so the output does not depend
+on a linear-algebra library or on the CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Sequence
 
 from .model import (
     CASE_CONTROLS,
@@ -33,15 +35,16 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
+    _jacobian_rows,
     _rhs_components,
     check_denominator,
-    kinetic_jacobian,
 )
 
 BISECT_TOL = 1e-13
 ROOT_ZERO_TOL = 1e-15    # |p(y)| <= this * sum|c_i| counts as a root at y
 RESIDUAL_TOL = 1e-9      # sup-norm bound on kinetic_rhs at a returned point
 STABLE_EIG_TOL = -1e-12  # stable <=> all eigenvalue real parts below this
+NEWTON_STEPS = 100       # bound on the cubic's Newton iteration, which stops on its own
 
 
 EIGENVALUE_FIELDS = tuple(f"eig{i}_{part}" for i in (1, 2, 3) for part in ("re", "im"))
@@ -116,55 +119,29 @@ def _swap_du(params: ModelParams) -> ModelParams:
     )
 
 
-def _swap_state(x: StateDist) -> StateDist:
-    return StateDist(x.x_UI, x.x_US, x.x_DI, x.x_DS)
-
-
-def mixed_quartic_coeffs(params: ModelParams) -> np.ndarray:
+def mixed_quartic_coeffs(params: ModelParams) -> tuple[float, float, float, float, float]:
     """Ascending coefficients of the case-iii stationarity polynomial in x_DI.
 
-    Eliminating x_UI = x_DI*(q_inf_U*v_H + beta_DU*x_DI + lam) /
-    (q_rec_U - beta_UU*x_DI) from the two-equation reduced system and
-    clearing the denominator squared yields a degree <= 4 polynomial.
+    Eliminating x_UI = x_DI*N(x_DI)/D(x_DI), with N(y) = (q_inf_U*v_H +
+    lam)*y + beta_DU*y**2 and D(y) = q_rec_U - beta_UU*y, from the
+    two-equation reduced system and clearing D**2 yields the degree <= 4
+    polynomial t1*t2 - (q_rec_D + lam)*y*D**2, written out term by term.
     """
-    lam, v_H = params.lam, params.v_H
-    den = np.array([params.q_rec_U, -params.beta_UU])             # D(y)
-    num = np.array([0.0, params.q_inf_U * v_H + lam, params.beta_DU])  # N(y)
-    # susceptible-defended mass times D: D*(1 - 2y) - N
-    t1 = _polyadd(_polymul(den, np.array([1.0, -2.0])), -num)
-    # infection intensity on DS times D: (q_inf_D*v_H + beta_DD*y)*D + beta_UD*N
-    t2 = _polyadd(_polymul(np.array([params.q_inf_D * v_H, params.beta_DD]), den),
-                  params.beta_UD * num)
-    loss = (params.q_rec_D + lam) * _polymul(np.array([0.0, 1.0]), _polymul(den, den))
-    poly = _polyadd(_polymul(t1, t2), -loss)
-    out = np.zeros(5)
-    out[: len(poly)] = poly
-    return out
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """c without its trailing zero coefficients, keeping at least one."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0.0:
-        n -= 1
-    return c[:n]
-
-
-def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """np.polynomial.polynomial.polymul on float arrays: the same trims and
-    the same convolution, without its input conversion."""
-    return _trim(np.convolve(_trim(c1), _trim(c2)))
-
-
-def _polyadd(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """np.polynomial.polynomial.polyadd on float arrays; polysub(c1, c2)
-    is _polyadd(c1, -c2), bit for bit."""
-    c1, c2 = _trim(c1), _trim(c2)
-    if len(c1) < len(c2):
-        c1, c2 = c2, c1
-    out = c1.copy()
-    out[: len(c2)] += c2
-    return _trim(out)
+    q, b = params.q_rec_U, params.beta_UU
+    n1, n2 = params.q_inf_U * params.v_H + params.lam, params.beta_DU
+    # susceptible-defended mass times D: t1 = D*(1 - 2y) - N
+    t10, t11, t12 = q, -2.0 * q - b - n1, 2.0 * b - n2
+    # infection intensity on DS times D: t2 = (q_inf_D*v_H + beta_DD*y)*D + beta_UD*N
+    a0, a1, c = params.q_inf_D * params.v_H, params.beta_DD, params.beta_UD
+    t20, t21, t22 = a0 * q, a1 * q - a0 * b + c * n1, c * n2 - a1 * b
+    loss = params.q_rec_D + params.lam
+    return (
+        t10 * t20,
+        t10 * t21 + t11 * t20 - loss * (q * q),
+        t10 * t22 + t11 * t21 + t12 * t20 + loss * (2.0 * q * b),
+        t11 * t22 + t12 * t21 - loss * (b * b),
+        t12 * t22,
+    )
 
 
 def reconstruct_mixed_state(params: ModelParams, x_DI: float) -> StateDist:
@@ -180,8 +157,9 @@ def reconstruct_mixed_state(params: ModelParams, x_DI: float) -> StateDist:
     return StateDist(x_DI, x_DS, x_UI, x_DI)
 
 
-def bracket_roots(coeffs: np.ndarray) -> list[float]:
-    """All roots of a polynomial on [0, 1], ascending.
+def bracket_roots(coeffs: Sequence[float]) -> list[float]:
+    """All roots on [0, 1], ascending, of the polynomial with the given
+    ascending float coefficients.
 
     The real roots of the derivative in (0, 1), found by the same
     isolation one degree down, split [0, 1] into monotone pieces.  A piece
@@ -258,7 +236,7 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
         return [_point(params, x, case, "quartic_numeric") for x in _case_iii_states(params)]
     if case is StrategyCase.DEFEND_INFECTED:
-        return [_point(params, _swap_state(x), case, "quartic_numeric")
+        return [_point(params, StateDist(x.x_UI, x.x_US, x.x_DI, x.x_DS), case, "quartic_numeric")
                 for x in _case_iii_states(_swap_du(params))]
     raise ValueError(f"{case} is not a mixed case")
 
@@ -305,17 +283,17 @@ _ELIMINATED = {
 
 
 def reduced_jacobian(params: ModelParams, x: StateDist, u: ControlVector,
-                     eliminated: int) -> np.ndarray:
-    """3x3 Jacobian of the dynamics restricted to the simplex.
+                     eliminated: int) -> list[list[float]]:
+    """3x3 Jacobian of the dynamics restricted to the simplex, as rows.
 
     Eliminating coordinate j via the constraint replaces column j by its
     negative spread over the others: J_red[i, k] = J[i, k] - J[i, j].  The
     spectrum on the simplex tangent space does not depend on the choice
     of j.
     """
-    full = kinetic_jacobian(params, x, u)
+    full = _jacobian_rows(params, x, u)
     keep = [i for i in range(4) if i != eliminated]
-    return full[np.ix_(keep, keep)] - full[keep, eliminated][:, None]
+    return [[full[i][k] - full[i][eliminated] for k in keep] for i in keep]
 
 
 def _point(params: ModelParams, x: StateDist, case: StrategyCase, method: str) -> FixedPoint:
@@ -341,8 +319,7 @@ def stability(params: ModelParams, x: StateDist,
             x.x_DI, params.beta_DD, params.q_rec_D, params.q_inf_D * params.v_H,
             params.q_rec_U, params.q_inf_U * params.v_H, params.beta_DU, params.lam)
     else:
-        red = reduced_jacobian(params, x, case.control, _ELIMINATED[case])
-        eigs = _cubic_eigs(red)
+        eigs = _cubic_eigs(reduced_jacobian(params, x, case.control, _ELIMINATED[case]))
     eigs = tuple(sorted(eigs, key=lambda z: (z.real, z.imag)))
     return eigs, all(z.real < STABLE_EIG_TOL for z in eigs)
 
@@ -365,23 +342,56 @@ def _acyclic_eigs(root: float, contact: float, recovery: float, direct: float,
     )
 
 
-def _cubic_eigs(m: np.ndarray) -> tuple[complex, ...]:
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    minors = (
-        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    )
-    det = float(np.linalg.det(m))
-    if det == 0.0:
-        # np.roots splits off the root at zero
-        roots = np.roots([1.0, -tr, minors, -det])
+def _cubic_eigs(m: Sequence[Sequence[float]]) -> tuple[complex, ...]:
+    """Roots of the characteristic cubic xi^3 - tr*xi^2 + minors*xi - det of
+    m (OverflowError unless all three are finite), scaled by a power of two
+    so they are O(1): Newton from Kahan's start onto a real root, then the
+    deflated quadratic (W. Kahan, To Solve a Real Cubic Equation, 1986).
+    det is taken by cofactors, and a zero det gives the root 0 exactly."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    tr = a + e + i
+    minors = e * i - f * h + a * i - c * g + a * e - b * d
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not all(map(math.isfinite, (tr, minors, det))):
+        raise OverflowError(f"characteristic polynomial out of float range: {(tr, minors, det)}")
+    k = max((-(-math.frexp(v)[1] // n) for n, v in enumerate((tr, minors, det), 1) if v),
+            default=0)
+    b2, b1, b0 = -math.ldexp(tr, -k), math.ldexp(minors, -2 * k), -math.ldexp(det, -3 * k)
+    x, c1, c0 = 0.0, b2, b1  # det == 0: the root 0, exactly
+    if b0 != 0.0:
+        x = -b2 / 3.0
+        p, dp, c1, c0 = _cubic_eval(x, b2, b1, b0)
+        r, s = abs(p) ** (1.0 / 3.0), math.copysign(1.0, p)
+        if dp < 0.0:
+            r = 1.324718 * max(r, math.sqrt(-dp))
+        x_next = x - s * r
+        for _ in range(NEWTON_STEPS):
+            x = x_next
+            p, dp, c1, c0 = _cubic_eval(x, b2, b1, b0)
+            x_next = x if dp == 0.0 else x - (p / dp) / 1.000000000000001  # stops short
+            if s * x_next <= s * x:
+                break
+        if abs(x) * x * x > abs(b0):  # a large root: deflate from the constant end
+            c0 = -b0 / x
+            c1 = (c0 - b1) / x
+    # the deflated quadratic y^2 + c1*y + c0
+    mid = -0.5 * c1
+    disc = mid * mid - c0
+    root = math.sqrt(abs(disc))
+    if disc < 0.0:
+        rest = (complex(mid, root), complex(mid, -root))
     else:
-        # the companion matrix np.roots builds for x^3 - tr*x^2 + minors*x - det
-        roots = np.linalg.eigvals(np.array([[tr, -minors, det],
-                                            [1.0, 0.0, 0.0],
-                                            [0.0, 1.0, 0.0]]))
-    return tuple(complex(z) for z in roots)
+        big = mid + math.copysign(root, mid)
+        rest = (complex(big), complex(c0 / big)) if big else (0j, 0j)
+    return tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                 for z in (complex(x), *rest))
+
+
+def _cubic_eval(x: float, b2: float, b1: float, b0: float) -> tuple[float, float, float, float]:
+    """x^3 + b2*x^2 + b1*x + b0 and its slope at x, and the quotient's y^1, y^0 coefficients."""
+    c1 = x + b2
+    c0 = c1 * x + b1
+    return c0 * x + b0, (x + c1) * x + c0, c1, c0
 
 
 def fixed_point_residual(params: ModelParams, fp: FixedPoint) -> float:

@@ -335,36 +335,28 @@ def kinetic_rhs(params: ModelParams, x: StateDist, u: ControlVector) -> np.ndarr
     return np.array(_rhs_components(params, x.x_DI, x.x_DS, x.x_UI, x.x_US, u))
 
 
-def kinetic_jacobian(params: ModelParams, x: StateDist, u: ControlVector) -> np.ndarray:
-    """Analytic 4x4 Jacobian of kinetic_rhs with respect to x.
-
-    Column sums vanish, reflecting mass conservation.
-    """
+def _jacobian_rows(params: ModelParams, x: StateDist, u: ControlVector) -> tuple[tuple, ...]:
+    """Analytic 4x4 Jacobian of the kinetic right-hand side with respect to
+    x, as rows of floats; column sums vanish, reflecting mass conservation."""
     alpha, beta = alpha_beta(params, x)
     lam = params.lam
     x_DS, x_US = x.x_DS, x.x_US
     b_DD, b_UD, b_DU, b_UU = params.beta_DD, params.beta_UD, params.beta_DU, params.beta_UU
+    return (
+        (x_DS * b_DD - params.q_rec_D - lam * u.u_DI, alpha,
+         x_DS * b_UD + lam * u.u_UI, 0.0),                                   # DI
+        (-x_DS * b_DD + params.q_rec_D, -alpha - lam * u.u_DS,
+         -x_DS * b_UD, lam * u.u_US),                                        # DS
+        (x_US * b_DU + lam * u.u_DI, 0.0,
+         x_US * b_UU - params.q_rec_U - lam * u.u_UI, beta),                 # UI
+        (-x_US * b_DU, lam * u.u_DS,
+         -x_US * b_UU + params.q_rec_U, -beta - lam * u.u_US),               # US
+    )
 
-    j = np.zeros((4, 4))
-    # row DI
-    j[0, 0] = x_DS * b_DD - params.q_rec_D - lam * u.u_DI
-    j[0, 1] = alpha
-    j[0, 2] = x_DS * b_UD + lam * u.u_UI
-    # row DS
-    j[1, 0] = -x_DS * b_DD + params.q_rec_D
-    j[1, 1] = -alpha - lam * u.u_DS
-    j[1, 2] = -x_DS * b_UD
-    j[1, 3] = lam * u.u_US
-    # row UI
-    j[2, 0] = x_US * b_DU + lam * u.u_DI
-    j[2, 2] = x_US * b_UU - params.q_rec_U - lam * u.u_UI
-    j[2, 3] = beta
-    # row US
-    j[3, 0] = -x_US * b_DU
-    j[3, 1] = lam * u.u_DS
-    j[3, 2] = -x_US * b_UU + params.q_rec_U
-    j[3, 3] = -beta - lam * u.u_US
-    return j
+
+def kinetic_jacobian(params: ModelParams, x: StateDist, u: ControlVector) -> np.ndarray:
+    """Analytic 4x4 Jacobian of kinetic_rhs with respect to x."""
+    return np.array(_jacobian_rows(params, x, u))
 
 
 def default_step(params: ModelParams) -> float:

@@ -234,6 +234,18 @@ class TestSweep:
             assert [(r.kappa, r.count, r.cases, r.mu_values, r.stable)
                     for r in rows] == expected
 
+    def test_grid_is_numpy_linspace(self, base_params, rng, monkeypatch):
+        # the kappa column is np.linspace's, float for float, also where the
+        # step underflows to 0
+        monkeypatch.setattr(equilibrium, "_bracketed_points", lambda params: [])
+        triples = [(0.0, 5e-324, 3), (0.0, 1e-323, 7), (1e-300, 1.0, 2)]
+        for _ in range(500):
+            a, b = sorted(rng.uniform(0.0, 10.0 ** rng.integers(-5, 6), size=2).tolist())
+            triples.append((a, b, int(rng.integers(2, 300))))
+        for a, b, n in triples:
+            got = [row.kappa for row in sweep_kappa(base_params, a, b, n)]
+            assert list(map(repr, got)) == list(map(repr, np.linspace(a, b, n).tolist()))
+
     def test_count_changes_only_between_flagged_rows(self, rng):
         # README rates with zero rates: P or Q vanishes at some stationary
         # points, or an interval ends exactly on the last grid point

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from botnet_mfg import (
 )
 from botnet_mfg.fixedpoint import (
     _swap_du,
-    _swap_state,
     bracket_roots,
     endemic_root,
     fixed_point_residual,
@@ -353,60 +353,105 @@ class TestStabilityFunction:
         assert calls == returned
 
 
-def _reference_quartic(params):
-    """mixed_quartic_coeffs as np.polynomial computes it."""
-    P = np.polynomial.polynomial
-    lam, v_H = params.lam, params.v_H
-    den = np.array([params.q_rec_U, -params.beta_UU])
-    num = np.array([0.0, params.q_inf_U * v_H + lam, params.beta_DU])
-    t1 = P.polysub(P.polymul(den, np.array([1.0, -2.0])), num)
-    t2 = P.polyadd(P.polymul(np.array([params.q_inf_D * v_H, params.beta_DD]), den),
-                   params.beta_UD * num)
-    loss = (params.q_rec_D + lam) * P.polymul(np.array([0.0, 1.0]), P.polymul(den, den))
-    poly = P.polysub(P.polymul(t1, t2), loss)
-    out = np.zeros(5)
-    out[: len(poly)] = poly
+class TestUnstableMixedPoint:
+    """At the README rates without attacker pressure the disease-free mixed
+    points are stationary and their spectra are integers: -(lam + q_rec_D),
+    -lam, and the epidemic growth rate on the populated side, beta - q_rec.
+    The unprotected epidemic is supercritical (4 - 1 = 3), so the case-iv
+    point at x_US = 1 is a saddle; the defended one is not (0.5 - 1)."""
+
+    README = dict(q_rec_D=1.0, q_rec_U=1.0, q_inf_D=0.5, q_inf_U=1.0,
+                  beta_UU=4.0, beta_UD=0.5, beta_DU=4.0, beta_DD=0.5,
+                  lam=2000.0, v_H=0.0, k_D=0.7, k_I=1.0)
+
+    @pytest.mark.parametrize("case, x, eigs, stable", [
+        (CASE_IV, (0.0, 0.0, 0.0, 1.0), (-2001.0, -2000.0, 3.0), False),
+        (CASE_III, (0.0, 1.0, 0.0, 0.0), (-2001.0, -2000.0, -0.5), True),
+    ], ids=["iv-saddle", "iii-stable"])
+    def test_exact_spectrum(self, case, x, eigs, stable):
+        params = ModelParams(**self.README)
+        point = next(fp for fp in fixed_point_mixed(params, case) if fp.x.as_tuple() == x)
+        assert fixed_point_residual(params, point) == 0.0
+        assert point.eigenvalues == tuple(complex(e) for e in eigs)
+        assert point.stable is stable
+
+
+def _polymul(a, b):
+    """Exact product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _reference_spectrum(m):
-    """The reduced-Jacobian spectrum as the roots np.roots finds."""
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    minors = (
-        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    )
-    det = float(np.linalg.det(m))
-    return [complex(z) for z in np.roots([1.0, -tr, minors, -det])]
+def _polyadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
 
 
-def _reference_mixed(params, case):
-    """fixed_point_mixed, with every case-iii spectrum taken (case iv recursing)."""
+def _exact_quartic(params):
+    """The case-iii quartic expanded in exact rationals of the same float parameters."""
+    F = Fraction
+    lam, v_H = F(params.lam), F(params.v_H)
+    den = [F(params.q_rec_U), -F(params.beta_UU)]
+    num = [F(0), F(params.q_inf_U) * v_H + lam, F(params.beta_DU)]
+    t1 = _polyadd(_polymul(den, [1, -2]), [-c for c in num])
+    t2 = _polyadd(_polymul([F(params.q_inf_D) * v_H, F(params.beta_DD)], den),
+                  [F(params.beta_UD) * c for c in num])
+    loss = _polymul([0, F(params.q_rec_D) + lam], _polymul(den, den))
+    return _polyadd(_polymul(t1, t2), [-c for c in loss])
+
+
+def _assert_quartic_matches_exact(params, label=None):
+    got = mixed_quartic_coeffs(params)
+    exact = _exact_quartic(params)
+    assert len(got) == len(exact) == 5
+    bound = 2e-15 * sum(abs(c) for c in got)
+    for g, e in zip(got, exact):
+        assert (g == 0.0) == (e == 0), label
+        assert float(abs(Fraction(g) - e)) <= bound, label
+
+
+def _exact_root(coeffs, y):
+    """The root near y of the exact polynomial, after one exact Newton step, rounded."""
+    y = Fraction(y)
+    value = sum(c * y ** i for i, c in enumerate(coeffs))
+    slope = sum(i * c * y ** (i - 1) for i, c in enumerate(coeffs) if i)
+    return float(y - value / slope) if slope else float(y)
+
+
+def _reference_states(params, case):
+    """The mixed states at the exact quartic's roots, rounded to floats (case
+    iv by relabeling)."""
     if case is CASE_IV:
-        return [(_swap_state(x), _reference_eigs(params, _swap_state(x), case))
-                for x, _ in _reference_mixed(_swap_du(params), CASE_III)]
-    points = []
-    for root in bracket_roots(_reference_quartic(params)):
+        return [fixedpoint.StateDist(x.x_UI, x.x_US, x.x_DI, x.x_DS)
+                for x in _reference_states(_swap_du(params), CASE_III)]
+    exact = _exact_quartic(params)
+    states = []
+    for near in bracket_roots([float(c) for c in exact]):
+        root = _exact_root(exact, near)
         try:
             x = reconstruct_mixed_state(params, root)
         except (DegenerateDenominator, ValueError):
             continue
-        eigs = _reference_eigs(params, x, case)
         if float(np.max(np.abs(kinetic_rhs(params, x, case.control)))) <= fixedpoint.RESIDUAL_TOL:
-            points.append((x, eigs))
-    return points
+            states.append(x)
+    return states
 
 
-def _reference_eigs(params, x, case):
-    eliminated = 1 if case is CASE_III else 3
-    red = _reference_reduced_jacobian(params, x, case.control, eliminated)
-    assert red.tobytes() == reduced_jacobian(params, x, case.control, eliminated).tobytes()
-    return tuple(sorted(_reference_spectrum(red), key=lambda z: (z.real, z.imag)))
+def _eigvals_gap(eigs, m):
+    """Largest distance between eigs and np.linalg.eigvals(m), under the best
+    pairing, and the largest eigenvalue modulus."""
+    ref = [complex(z) for z in np.linalg.eigvals(np.array(m))]
+    gap = min(max(abs(a - b) for a, b in zip(eigs, perm))
+              for perm in itertools.permutations(ref))
+    return gap, max(abs(z) for z in ref)
 
 
 def _reference_reduced_jacobian(params, x, u, eliminated):
-    """reduced_jacobian entry by entry."""
+    """reduced_jacobian entry by entry from the 4x4 array."""
     full = kinetic_jacobian(params, x, u)
     keep = [i for i in range(4) if i != eliminated]
     red = np.empty((3, 3))
@@ -425,23 +470,34 @@ def _zero_rate_params(rng, lam):
 
 
 class TestBitIdentity:
-    """The direct kernels return the floats of the np.polynomial / np.roots path."""
+    """The scalar kernels against independent references: the quartic
+    expanded in exact rationals, the LAPACK spectrum of the same matrix,
+    and the reduced Jacobian taken entry by entry from the 4x4 array."""
 
     def test_mixed_points_and_quartic_match_reference(self, rng):
         compared = 0
         for k in range(2000):
             lam = (1.0, 10.0, 1000.0, 2000.0)[k % 4]
             params = _zero_rate_params(rng, lam) if k % 10 == 9 else random_params(rng, lam=lam)
-            assert mixed_quartic_coeffs(params).tobytes() == _reference_quartic(params).tobytes()
+            _assert_quartic_matches_exact(params)
             for case in (CASE_III, CASE_IV):
-                got = [(fp.x, fp.eigenvalues) for fp in fixed_point_mixed(params, case)]
-                assert repr(got) == repr(_reference_mixed(params, case))
-                compared += len(got)
+                points = fixed_point_mixed(params, case)
+                reference = _reference_states(params, case)
+                assert len(points) == len(reference)
+                for fp, x in zip(points, reference):
+                    assert max(abs(a - b) for a, b in zip(fp.x.as_tuple(), x.as_tuple())) <= 1e-15
+                    eliminated = 1 if case is CASE_III else 3
+                    red = reduced_jacobian(params, fp.x, case.control, eliminated)
+                    assert np.array(red).tobytes() == _reference_reduced_jacobian(
+                        params, fp.x, case.control, eliminated).tobytes()
+                    gap, rho = _eigvals_gap(fp.eigenvalues, red)
+                    assert gap <= 1e-10 * rho
+                compared += len(points)
         assert compared >= 3000
 
     def test_quartic_with_zero_rates_matches_reference(self, rng):
-        # np.polynomial trims trailing zero coefficients before and after
-        # each product, which fixes the sign of the zero coefficients
+        # every combination of one to four vanishing rates: the written-out
+        # coefficients vanish exactly where the exact expansion does
         names = ("beta_UU", "beta_DU", "beta_DD", "beta_UD", "q_rec_U", "q_rec_D",
                  "q_inf_U", "q_inf_D", "v_H")
         for lam in (1.0, 10.0, 1000.0, 2000.0):
@@ -449,26 +505,42 @@ class TestBitIdentity:
                 base = random_params(rng, lam=lam)
                 for size in (1, 2, 3, 4):
                     for zeroed in itertools.combinations(names, size):
-                        params = replace(base, **dict.fromkeys(zeroed, 0.0))
-                        assert (mixed_quartic_coeffs(params).tobytes()
-                                == _reference_quartic(params).tobytes()), zeroed
+                        _assert_quartic_matches_exact(
+                            replace(base, **dict.fromkeys(zeroed, 0.0)), zeroed)
 
-    def test_cubic_eigs_match_np_roots(self, rng):
+    def test_cubic_eigs_match_eigvals(self, rng):
         for _ in range(500):
-            m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
-            assert fixedpoint._cubic_eigs(m) == tuple(_reference_spectrum(m))
+            m = (rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)).tolist()
+            gap, rho = _eigvals_gap(fixedpoint._cubic_eigs(m), m)
+            assert gap <= 1e-12 * rho
+
+    @pytest.mark.parametrize("m", [
+        [[1e150, 0.0, 0.0], [0.0, -1e150, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 1e150, 0.0], [-1e150, 0.0, 0.0], [0.0, 0.0, -1e-200]],
+        [[1e200, 1.0, 0.0], [1.0, 1e-200, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["real", "complex", "wide"])
+    def test_roots_near_the_float_range_end(self, m):
+        # finite coefficients whose roots' cubes overflow unless the cubic is scaled
+        gap, rho = _eigvals_gap(fixedpoint._cubic_eigs(m), m)
+        assert gap <= 1e-12 * rho
 
     @pytest.mark.parametrize("m", [
         [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 5.0, 6.0]],
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
         [[-2.0, 1.0, 0.0], [1.0, -0.5, 0.0], [3.0, 1.0, -1.0]],
-    ], ids=["zero-row", "zero", "rank-two"])
+        [[1.0, 2.0, -1.0], [2.0, 4.0, -2.0], [1.0, 3.0, 0.5]],
+    ], ids=["zero-row", "zero", "rank-two", "complex-pair"])
     def test_singular_matrix_keeps_the_zero_root(self, m):
-        m = np.array(m)
-        assert float(np.linalg.det(m)) == 0.0
+        # in "complex-pair" 0 is the only real root, which Newton's iteration
+        # would reach only to within a subnormal
         eigs = fixedpoint._cubic_eigs(m)
-        assert eigs == tuple(_reference_spectrum(m))
         assert 0j in eigs and len(eigs) == 3
+        gap, rho = _eigvals_gap(eigs, m)
+        assert gap <= 1e-12 * rho
+
+    def test_overflowing_characteristic_polynomial_raises(self):
+        with pytest.raises(OverflowError):
+            fixedpoint._cubic_eigs([[1e200] * 3] * 3)
 
     @pytest.mark.parametrize("q_inf, expect_nan", [(1e308, True), (1.0, False)])
     def test_residual_is_the_numpy_sup_norm(self, q_inf, expect_nan):
