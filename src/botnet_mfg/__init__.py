@@ -45,15 +45,17 @@ from .equilibrium import (
     solve_mfg,
     sweep_kappa,
 )
-from .agentsim import (
-    AgentCounts,
-    DeviationStats,
-    SimConfig,
-    Trajectory,
-    compare_ode,
-    simulate,
-    simulate_myopic,
-)
+
+# the simulator's names import agentsim, and numpy with it, on first access (PEP 562)
+_AGENTSIM_NAMES = ("AgentCounts", "DeviationStats", "SimConfig", "Trajectory",
+                   "compare_ode", "simulate", "simulate_myopic")
+
+
+def __getattr__(name: str):
+    if name not in _AGENTSIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import agentsim
+    return getattr(agentsim, name)
 
 __version__ = "0.1.0"
 

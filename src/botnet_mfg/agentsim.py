@@ -45,7 +45,8 @@ When it fails, ``_resolve_control`` builds a ``StateDist`` and
 
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
 row and sample grid among the trajectories it is given, so the replicas
-of one configuration share a single solve.
+of one configuration share a single solve.  With ``validation``, this is
+the only module that imports numpy: for its PCG64 streams and arrays.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -178,6 +179,9 @@ class SwitchEvent:
     mu: float
 
 
+SWITCH_FIELDS = tuple(f.name for f in fields(SwitchEvent))  # switch-log columns
+
+
 @dataclass
 class Trajectory:
     """Sampled empirical distribution of one run."""
@@ -240,7 +244,8 @@ def kept_test(params: ModelParams, n_agents: int, case: StrategyCase) -> KeptTes
     return holds
 
 
-def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) -> np.ndarray:
+def generator_drift(params: ModelParams, counts: AgentCounts,
+                    u: ControlVector) -> tuple[float, float, float, float]:
     """(1/N) * sum over channels of rate * jump direction.
 
     Each rate is a step a_k - a_{k-1} of ``rate_table``'s running sums,
@@ -248,13 +253,13 @@ def generator_drift(params: ModelParams, counts: AgentCounts, u: ControlVector) 
     kinetic_rhs at x = n/N.
     """
     n = counts.total
-    drift = np.zeros(4)
+    drift = [0.0, 0.0, 0.0, 0.0]
     prev = 0.0
     for a, (src, dst) in zip(rate_table(params, n, u)(*counts.as_tuple()), EVENT_MOVES):
         drift[src] -= a - prev
         drift[dst] += a - prev
         prev = a
-    return drift / n
+    return drift[0] / n, drift[1] / n, drift[2] / n, drift[3] / n
 
 
 def _resolve_control(params: ModelParams, counts: list[float], n: int,
@@ -434,7 +439,7 @@ def _ode_states(params: ModelParams, traj: Trajectory, u: ControlVector) -> np.n
     # pass a step strictly between horizon / n_steps and horizon / (n_steps - 1)
     path = integrate(params, StateDist.from_sequence(traj.states[0]), u, horizon,
                      step=horizon / (n_steps - 0.5), sample_every=substeps)
-    return np.array([state.as_array() for _, state in path])
+    return np.array([state.as_tuple() for _, state in path])
 
 
 def replica_trajectories(params: ModelParams, cfg: SimConfig,

@@ -17,6 +17,7 @@ stdout or --out; every command writes it through ``write``.  Exit codes:
 0 success, 1 validation failure, invalid input or parameter value,
 degenerate rates (a solver failure) or unwritable output, 2 config syntax error,
 missing key or unreadable config.  The parser is built once, at import.
+Only ``simulate`` and ``validate`` import numpy, when they run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from . import agentsim, equilibrium, fixedpoint, hjb, validation
+from . import equilibrium, fixedpoint, hjb
 from .model import (
     STATE_FIELDS,
     ControlVector,
@@ -37,8 +38,6 @@ from .model import (
     StrategyCase,
     parse_config,
 )
-
-SWITCH_FIELDS = tuple(f.name for f in dataclasses.fields(agentsim.SwitchEvent))
 
 
 class CliError(Exception):
@@ -227,9 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  lambda: [r.to_record() for r in rows])
 
 
-def _parse_policy(text: str) -> ControlVector | str:
-    if text == agentsim.MYOPIC:
-        return agentsim.MYOPIC
+def _fixed_policy(text: str) -> ControlVector:
     if text.startswith("fixed:"):
         try:
             return StrategyCase.from_label(text.removeprefix("fixed:")).control
@@ -239,10 +236,11 @@ def _parse_policy(text: str) -> ControlVector | str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import agentsim
     params = load_params(args)
     x0 = parse_state(args.x)
-    policy = _parse_policy(args.policy)
-    myopic = policy == agentsim.MYOPIC
+    myopic = args.policy == agentsim.MYOPIC
+    policy = agentsim.MYOPIC if myopic else _fixed_policy(args.policy)
     if args.switch_log and not myopic:
         raise CliError("invalid_policy", "--switch-log needs --policy myopic")
     recompute = args.myopic_recompute
@@ -263,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.switch_log:
         switches = [dict(dataclasses.asdict(sw), replica=i)
                     for i, traj in enumerate(trajectories) for sw in traj.switches]
-        emit(args.switch_log, records_to_csv(lead + SWITCH_FIELDS, switches))
+        emit(args.switch_log, records_to_csv(lead + agentsim.SWITCH_FIELDS, switches))
 
     def sample_rows() -> list[dict]:
         return [dict(zip(STATE_FIELDS, map(float, traj.states[k])), replica=i,
@@ -271,23 +269,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 for i, traj in enumerate(trajectories) for k, t in enumerate(traj.times)]
 
     def payload() -> dict | list[dict]:
-        records = [_trajectory_record(traj, i, myopic) for i, traj in enumerate(trajectories)]
+        records = []
+        for i, traj in enumerate(trajectories):
+            rec = {"replica": i, "t": traj.times.tolist()}
+            rec.update(zip(STATE_FIELDS, traj.states.T.tolist()))
+            if myopic:
+                rec["case"] = traj.cases
+                rec["switches"] = [dataclasses.asdict(s) for s in traj.switches]
+            records.append(rec)
         return records if args.replicas > 1 else records[0]
 
     fields = lead + ("t",) + STATE_FIELDS + (("case",) if myopic else ())
     return write(args, fields, sample_rows, payload)
 
 
-def _trajectory_record(traj: agentsim.Trajectory, replica: int, myopic: bool) -> dict:
-    rec = {"replica": replica, "t": traj.times.tolist()}
-    rec.update(zip(STATE_FIELDS, traj.states.T.tolist()))
-    if myopic:
-        rec["case"] = traj.cases
-        rec["switches"] = [dataclasses.asdict(s) for s in traj.switches]
-    return rec
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import validation
     if args.seed < 0:
         raise CliError("invalid_seed", "--seed must be >= 0")
     if args.trials < 1:

@@ -35,9 +35,9 @@ from .model import (
     ModelParams,
     StateDist,
     StrategyCase,
-    _jacobian_rows,
-    _rhs_components,
     check_denominator,
+    kinetic_jacobian,
+    kinetic_rhs,
 )
 
 BISECT_TOL = 1e-13
@@ -291,7 +291,7 @@ def reduced_jacobian(params: ModelParams, x: StateDist, u: ControlVector,
     spectrum on the simplex tangent space does not depend on the choice
     of j.
     """
-    full = _jacobian_rows(params, x, u)
+    full = kinetic_jacobian(params, x, u)
     keep = [i for i in range(4) if i != eliminated]
     return [[full[i][k] - full[i][eliminated] for k in keep] for i in keep]
 
@@ -400,5 +400,5 @@ def fixed_point_residual(params: ModelParams, fp: FixedPoint) -> float:
 
 
 def _residual(params: ModelParams, x: StateDist, control: ControlVector) -> float:
-    comps = [abs(v) for v in _rhs_components(params, x.x_DI, x.x_DS, x.x_UI, x.x_US, control)]
+    comps = [abs(v) for v in kinetic_rhs(params, x, control)]
     return math.nan if any(v != v for v in comps) else max(comps)

@@ -1,5 +1,6 @@
 """Core model: parameters, state types, effective infection rates, and the
-kinetic mean-field dynamics of the four-state defense game.
+kinetic mean-field dynamics of the four-state defense game, in Python
+floats (no numpy).
 
 Each computer is in one of four states, written in the fixed coordinate
 order (DI, DS, UI, US): Defended/Unprotected crossed with Infected/
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 # |sum(x) - 1| accepted on input before renormalizing; root-finders and
 # integrators produce drift at this scale.
@@ -236,9 +235,6 @@ class StateDist:
         for name, value in zip(STATE_FIELDS, clipped):
             object.__setattr__(self, name, value / total)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_DI, self.x_DS, self.x_UI, self.x_US])
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_DI, self.x_DS, self.x_UI, self.x_US)
 
@@ -299,7 +295,8 @@ def _rhs_components(
     x_DI: float, x_DS: float, x_UI: float, x_US: float,
     u: ControlVector,
 ) -> tuple[float, float, float, float]:
-    """Kinetic right-hand side on raw floats (hot path for the integrator).
+    """Kinetic right-hand side on raw floats: the hot path for the
+    integrator, and the off-simplex points of finite differences.
 
     Each one-way population flow is computed once; the last component
     closes the balance, so the four components sum to exactly 0.0 under
@@ -325,19 +322,21 @@ def _rhs_components(
     return d_DI, d_DS, d_UI, d_US
 
 
-def kinetic_rhs(params: ModelParams, x: StateDist, u: ControlVector) -> np.ndarray:
+def kinetic_rhs(params: ModelParams, x: StateDist,
+                u: ControlVector) -> tuple[float, float, float, float]:
     """Time derivative of the population fractions under a fixed control.
 
-    The components sum to exactly zero (mass conservation), and any
-    component whose fraction is zero is nonnegative (the simplex is
-    forward-invariant).
+    The components sum to exactly zero under left-to-right summation (mass
+    conservation), and any component whose fraction is zero is nonnegative
+    (the simplex is forward-invariant).
     """
-    return np.array(_rhs_components(params, x.x_DI, x.x_DS, x.x_UI, x.x_US, u))
+    return _rhs_components(params, x.x_DI, x.x_DS, x.x_UI, x.x_US, u)
 
 
-def _jacobian_rows(params: ModelParams, x: StateDist, u: ControlVector) -> tuple[tuple, ...]:
-    """Analytic 4x4 Jacobian of the kinetic right-hand side with respect to
-    x, as rows of floats; column sums vanish, reflecting mass conservation."""
+def kinetic_jacobian(params: ModelParams, x: StateDist,
+                     u: ControlVector) -> tuple[tuple[float, ...], ...]:
+    """Analytic 4x4 Jacobian of kinetic_rhs with respect to x, as rows of
+    floats; column sums vanish, reflecting mass conservation."""
     alpha, beta = alpha_beta(params, x)
     lam = params.lam
     x_DS, x_US = x.x_DS, x.x_US
@@ -352,11 +351,6 @@ def _jacobian_rows(params: ModelParams, x: StateDist, u: ControlVector) -> tuple
         (-x_US * b_DU, lam * u.u_DS,
          -x_US * b_UU + params.q_rec_U, -beta - lam * u.u_US),               # US
     )
-
-
-def kinetic_jacobian(params: ModelParams, x: StateDist, u: ControlVector) -> np.ndarray:
-    """Analytic 4x4 Jacobian of kinetic_rhs with respect to x."""
-    return np.array(_jacobian_rows(params, x, u))
 
 
 def default_step(params: ModelParams) -> float:

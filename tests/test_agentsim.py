@@ -239,7 +239,7 @@ class TestEventRates:
             drift = generator_drift(params, counts, u)
             rhs = kinetic_rhs(params, counts.to_dist(), u)
             scale = max(1.0, float(np.max(np.abs(rhs))))
-            assert float(np.max(np.abs(drift - rhs))) <= 1e-12 * scale
+            assert float(np.max(np.abs(np.subtract(drift, rhs)))) <= 1e-12 * scale
 
 
 class TestSimulate:
@@ -370,7 +370,7 @@ class TestCompareOde:
         (path,) = paths
         assert len(path) == len(traj.times)
         assert np.allclose([t for t, _ in path], traj.times, rtol=0.0, atol=1e-12)
-        ode = np.array([state.as_array() for _, state in path])
+        ode = np.array([state.as_tuple() for _, state in path])
         assert stats.mean == float(np.max(np.abs(ode - traj.states)))
 
     def test_deviation_shrinks_with_population(self):
@@ -397,7 +397,7 @@ class TestMyopic:
         cfg = SimConfig(n_agents=5000, horizon=horizon, seed=17, policy="myopic",
                         sample_interval=0.5, initial=x_eq)
         traj = simulate_myopic(params, cfg)
-        gaps = np.max(np.abs(traj.states - x_eq.as_array()), axis=1)
+        gaps = np.max(np.abs(traj.states - np.array(x_eq.as_tuple())), axis=1)
         assert float(np.mean(gaps <= 0.05)) > 0.9
 
     def test_converges_to_case_i_when_defense_expensive(self):

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import botnet_mfg
 from botnet_mfg import agentsim
 from botnet_mfg.cli import main
 from botnet_mfg.model import ModelParams
@@ -558,3 +562,55 @@ class TestDeterminism:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+# runs one command through cli.main, then reports on stderr's last line
+# whether the process imported numpy
+PROBE = """\
+import sys
+from botnet_mfg.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.exit(code)
+"""
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(botnet_mfg.__file__))
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Python code run in a new interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_command_fresh(*argv: str) -> tuple[int, str, bool]:
+    """Exit code, stdout and whether numpy was loaded, for one command in a
+    new interpreter."""
+    proc = run_fresh("-c", PROBE, *argv)
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1] == "numpy loaded: True"
+
+
+class TestNumpyFreeSolverPath:
+    @pytest.mark.parametrize("command", ["hjb", "fixed-points", "equilibria",
+                                         "thresholds", "sweep"])
+    def test_solver_command_loads_no_numpy(self, command, config_path):
+        code, out, numpy_loaded = run_command_fresh(command, "--config", config_path,
+                                                    *GOLDEN_ARGS[command])
+        assert code == 0 and not numpy_loaded
+        assert sha256(out) == GOLDEN_SHA256[command, "csv"]
+
+    def test_package_import_loads_no_numpy(self):
+        proc = run_fresh("-c", "import sys, botnet_mfg; print('numpy' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    def test_simulate_loads_numpy_on_first_use(self, config_path):
+        code, out, numpy_loaded = run_command_fresh("simulate", "--config", config_path,
+                                                    *GOLDEN_ARGS["simulate"])
+        assert code == 0 and numpy_loaded
+        assert sha256(out) == GOLDEN_SHA256["simulate", "csv"]
+
+    def test_validate_loads_numpy_on_first_use(self):
+        code, out, numpy_loaded = run_command_fresh("validate", "--seed", "5", "--trials", "40")
+        assert code == 0 and numpy_loaded
+        assert sha256(out) == (
+            "4ab0d2399b2a483d4894f407652fb378a5671c5ecc65a1a099338b8e51292509")

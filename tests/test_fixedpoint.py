@@ -99,7 +99,7 @@ class TestLargeRecovery:
             # as lam -> inf the toggled states empty at once, so the limit
             # point's residual is the drift of the infected mass
             fp = fixed_point_mixed_asymptotic(params, case)
-            d_DI, _, d_UI, _ = kinetic_rhs(params, fp.x, case.control).tolist()
+            d_DI, _, d_UI, _ = kinetic_rhs(params, fp.x, case.control)
             assert abs(d_DI + d_UI) <= fixedpoint.RESIDUAL_TOL, case
 
 
@@ -315,7 +315,7 @@ class TestAsymptotic:
                     pts = fixed_point_mixed(params, case)
                     assert pts
                     dist = min(
-                        float(np.max(np.abs(fp.x.as_array() - asym.x.as_array())))
+                        float(np.max(np.abs(np.array(fp.x.as_tuple()) - np.array(asym.x.as_tuple()))))
                         for fp in pts)
                     draws.append(dist)
                 gaps.append(np.mean(draws))
@@ -452,7 +452,7 @@ def _eigvals_gap(eigs, m):
 
 def _reference_reduced_jacobian(params, x, u, eliminated):
     """reduced_jacobian entry by entry from the 4x4 array."""
-    full = kinetic_jacobian(params, x, u)
+    full = np.array(kinetic_jacobian(params, x, u))
     keep = [i for i in range(4) if i != eliminated]
     red = np.empty((3, 3))
     for a, i in enumerate(keep):
