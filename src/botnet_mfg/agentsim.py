@@ -81,7 +81,7 @@ RateTable = Callable[[float, float, float, float], tuple[float, ...]]
 KeptTest = Callable[[float, float, float, float], bool]
 _UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
 MAX_AGENTS = 2 ** 53  # float head-counts are exact up to here
-MAX_SAMPLES = 10 ** 6  # samples per replica, each kept as one row in memory
+MAX_SAMPLES = 10 ** 6  # samples of a run, over all its replicas, each kept as one row in memory
 
 
 def _check_n_agents(n_agents: int) -> None:
@@ -442,8 +442,19 @@ def _ode_states(params: ModelParams, traj: Trajectory, u: ControlVector) -> np.n
     return np.array([state.as_tuple() for _, state in path])
 
 
+def check_replicas(cfg: SimConfig, replicas: int) -> None:
+    """Raise ValueError unless replicas * horizon / sample_interval, the
+    rows that all replicas keep, is at most MAX_SAMPLES (a replica keeps
+    at least one row, so more replicas than that are rejected too)."""
+    if not (replicas <= MAX_SAMPLES
+            and replicas * (cfg.horizon / cfg.sample_interval) <= MAX_SAMPLES):
+        raise ValueError(f"replicas * horizon / sample_interval exceeds {MAX_SAMPLES}")
+
+
 def replica_trajectories(params: ModelParams, cfg: SimConfig,
                          replicas: int) -> list[Trajectory]:
-    """Independent runs with per-replica streams seed + 0, 1, ..."""
+    """Independent runs with per-replica streams seed + 0, 1, ...; the
+    sample cap (check_replicas) is checked before any of them runs."""
+    check_replicas(cfg, replicas)
     run = simulate if isinstance(cfg.policy, ControlVector) else simulate_myopic
     return [run(params, replace(cfg, seed=cfg.seed + i)) for i in range(replicas)]

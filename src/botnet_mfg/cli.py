@@ -255,6 +255,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             myopic_recompute="interval" if recompute is None else recompute)
     except ValueError as exc:
         raise CliError("invalid_sim_config", str(exc)) from exc
+    try:
+        agentsim.check_replicas(cfg, args.replicas)
+    except ValueError as exc:
+        raise CliError("invalid_replicas", str(exc)) from exc
     trajectories = solved(agentsim.replica_trajectories, params, cfg, args.replicas)
 
     lead = ("replica",) if args.replicas > 1 else ()

@@ -199,40 +199,37 @@ def _delta_threshold(params: ModelParams, x: StateDist) -> float:
 
 
 def kappa_thresholds(params: ModelParams) -> BifurcationReport:
-    """Bifurcation thresholds from the three closed-form fixed points.
+    """Bifurcation thresholds from the closed-form case-i, case-ii and
+    large-lam case-iii states (``fixedpoint.endemic_state``); no spectrum
+    is computed and nothing depends on lam.
 
     Raises DegenerateDenominator when a threshold's denominator vanishes.
     """
-    fp_i = fp_mod.fixed_point_acyclic(params, StrategyCase.PREFER_UNPROTECTED)
-    fp_ii = fp_mod.fixed_point_acyclic(params, StrategyCase.PREFER_DEFENDED)
-    fp_iii = fp_mod.fixed_point_mixed_asymptotic(params, StrategyCase.DEFEND_SUSCEPTIBLE)
+    x_i, x_ii, x_iii = (fp_mod.endemic_state(params, case) for case in (
+        StrategyCase.PREFER_UNPROTECTED, StrategyCase.PREFER_DEFENDED,
+        StrategyCase.DEFEND_SUSCEPTIBLE))
 
-    x_star_UI = fp_i.x.x_UI
-    x_star_DI = fp_ii.x.x_DI
-    x_bar_star_UI = fp_iii.x.x_UI
-
-    kappa_1 = _gap_threshold(params, fp_i.x)
-    kappa_2 = _delta_threshold(params, fp_ii.x)
-    kappa_3 = _delta_threshold(params, fp_iii.x)
-    kappa_4 = _gap_threshold(params, fp_iii.x)
+    kappa_1 = _gap_threshold(params, x_i)
+    kappa_2 = _delta_threshold(params, x_ii)
+    kappa_3 = _delta_threshold(params, x_iii)
+    kappa_4 = _gap_threshold(params, x_iii)
 
     if params.has_equal_recovery_rates:
-        kappa_star: float | None = kappa_of(params, x_star_UI)
-        kappa_bar_star: float | None = kappa_of(params, x_bar_star_UI)
+        kappa_star: float | None = kappa_of(params, x_i.x_UI)
+        kappa_bar_star: float | None = kappa_of(params, x_iii.x_UI)
     else:
-        kappa_star = None
-        kappa_bar_star = None
+        kappa_star = kappa_bar_star = None
 
     domains = {
-        "x_star_UI": classify_domain(params, fp_i.x).value,
-        "x_star_DI": classify_domain(params, fp_ii.x).value,
-        "x_bar_star_UI": classify_domain(params, fp_iii.x).value,
+        "x_star_UI": classify_domain(params, x_i).value,
+        "x_star_DI": classify_domain(params, x_ii).value,
+        "x_bar_star_UI": classify_domain(params, x_iii).value,
     }
     return BifurcationReport(
         kappa_star=kappa_star,
         kappa_bar_star=kappa_bar_star,
         kappa_1=kappa_1, kappa_2=kappa_2, kappa_3=kappa_3, kappa_4=kappa_4,
-        x_star_UI=x_star_UI, x_star_DI=x_star_DI, x_bar_star_UI=x_bar_star_UI,
+        x_star_UI=x_i.x_UI, x_star_DI=x_ii.x_DI, x_bar_star_UI=x_iii.x_UI,
         domains=domains,
         kappa_z_increasing=kappa_increasing(params),
     )

@@ -91,21 +91,34 @@ def endemic_root(contact: float, recovery: float, direct: float) -> float:
     return (b - q - p + math.sqrt(disc)) / (2.0 * b)
 
 
-def fixed_point_acyclic(params: ModelParams, case: StrategyCase) -> FixedPoint:
-    """Stationary point for the all-unprotected or all-defended strategy.
+def endemic_state(params: ModelParams, case: StrategyCase) -> StateDist:
+    """The closed-form endemic state of a case: exact for the acyclic cases
+    i and ii, the large-lam limit for the mixed cases iii and iv.
 
-    Case i empties the defended states and leaves the unprotected
-    epidemic balance; case ii is the mirror image.
+    One state pair empties and the survivor solves an endemic quadratic
+    (case iii infects the unprotected against the defended-side direct
+    pressure, case iv mirrors it); lam does not enter.
     """
     if case is StrategyCase.PREFER_UNPROTECTED:
         root = endemic_root(params.beta_UU, params.q_rec_U, params.q_inf_U * params.v_H)
-        x = StateDist(0.0, 0.0, root, 1.0 - root)
-    elif case is StrategyCase.PREFER_DEFENDED:
+        return StateDist(0.0, 0.0, root, 1.0 - root)
+    if case is StrategyCase.PREFER_DEFENDED:
         root = endemic_root(params.beta_DD, params.q_rec_D, params.q_inf_D * params.v_H)
-        x = StateDist(root, 1.0 - root, 0.0, 0.0)
-    else:
+        return StateDist(root, 1.0 - root, 0.0, 0.0)
+    if case is StrategyCase.DEFEND_SUSCEPTIBLE:
+        root = endemic_root(params.beta_UD, params.q_rec_U, params.q_inf_D * params.v_H)
+        return StateDist(0.0, 1.0 - root, root, 0.0)
+    if case is StrategyCase.DEFEND_INFECTED:
+        root = endemic_root(params.beta_DU, params.q_rec_D, params.q_inf_U * params.v_H)
+        return StateDist(root, 0.0, 0.0, 1.0 - root)
+    raise ValueError(f"{case!r} is not a strategy case")
+
+
+def fixed_point_acyclic(params: ModelParams, case: StrategyCase) -> FixedPoint:
+    """Stationary point for the all-unprotected (i) or all-defended (ii) strategy."""
+    if case not in (StrategyCase.PREFER_UNPROTECTED, StrategyCase.PREFER_DEFENDED):
         raise ValueError(f"{case} is not an acyclic case")
-    return _point(params, x, case, "closed_form")
+    return _point(params, endemic_state(params, case), case, "closed_form")
 
 
 def _swap_du(params: ModelParams) -> ModelParams:
@@ -256,21 +269,10 @@ def _case_iii_states(params: ModelParams) -> list[StateDist]:
 
 
 def fixed_point_mixed_asymptotic(params: ModelParams, case: StrategyCase) -> FixedPoint:
-    """Large-lam limit of a mixed-case stationary point.
-
-    The switching balance empties one state pair and the survivor solves
-    an endemic quadratic: case iii infects the unprotected against the
-    defended-side direct pressure, case iv mirrors it.
-    """
-    if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        root = endemic_root(params.beta_UD, params.q_rec_U, params.q_inf_D * params.v_H)
-        x = StateDist(0.0, 1.0 - root, root, 0.0)
-    elif case is StrategyCase.DEFEND_INFECTED:
-        root = endemic_root(params.beta_DU, params.q_rec_D, params.q_inf_U * params.v_H)
-        x = StateDist(root, 0.0, 0.0, 1.0 - root)
-    else:
+    """Large-lam limit of a mixed-case (iii or iv) stationary point."""
+    if case not in (StrategyCase.DEFEND_SUSCEPTIBLE, StrategyCase.DEFEND_INFECTED):
         raise ValueError(f"{case} is not a mixed case")
-    return _point(params, x, case, "large_lambda")
+    return _point(params, endemic_state(params, case), case, "large_lambda")
 
 
 # coordinate eliminated by the simplex constraint when reducing to 3 variables

@@ -73,13 +73,18 @@ def random_control(rng: np.random.Generator) -> ControlVector:
 
 
 def check_mass_conservation(seed: int, trials: int) -> CheckResult:
-    """Components of the kinetic right-hand side sum to exactly zero."""
+    """Components of the kinetic right-hand side sum to exactly zero, and
+    d_US, which closes that sum, matches its own flows in and out of US."""
     rng = np.random.default_rng(seed)
     failed = 0
     for _ in range(trials):
         params = random_params(rng)
-        d_DI, d_DS, d_UI, d_US = kinetic_rhs(params, random_state(rng), random_control(rng))
-        if ((d_DI + d_DS) + d_UI) + d_US != 0.0:
+        x, u = random_state(rng), random_control(rng)
+        d_DI, d_DS, d_UI, d_US = kinetic_rhs(params, x, u)
+        flows = (params.q_rec_U * x.x_UI - alpha_beta(params, x).beta * x.x_US
+                 + params.lam * (u.u_DS * x.x_DS - u.u_US * x.x_US))
+        if (((d_DI + d_DS) + d_UI) + d_US != 0.0
+                or not abs(d_US - flows) <= 1e-12 * max(1.0, params.max_rate())):
             failed += 1
     return CheckResult("mass_conservation_exact", trials - failed, failed)
 

@@ -300,6 +300,19 @@ class TestSimulate:
                         sample_interval=1e-6, initial=StateDist(0.0, 0.0, 0.3, 0.7))
         assert cfg.horizon / cfg.sample_interval == agentsim.MAX_SAMPLES
 
+    @pytest.mark.parametrize("policy", [U_I, agentsim.MYOPIC], ids=["fixed", "myopic"])
+    def test_replicas_share_the_sample_cap(self, policy, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(agentsim, "_run", refuse)
+        cfg = SimConfig(n_agents=10, horizon=1.0, seed=0, policy=policy,
+                        sample_interval=1e-3, initial=StateDist(0.0, 0.0, 0.3, 0.7))
+        for replicas in (1001, 10 ** 400):
+            with pytest.raises(ValueError, match="replicas \\* horizon / sample_interval"):
+                replica_trajectories(sim_params(), cfg, replicas)
+        agentsim.check_replicas(cfg, 1000)  # exactly at the cap
+
     def test_requires_fixed_policy(self):
         params = sim_params()
         cfg = SimConfig(n_agents=10, horizon=1.0, seed=0, policy="myopic",

@@ -10,7 +10,8 @@ import pytest
 import botnet_mfg
 from botnet_mfg import agentsim
 from botnet_mfg.cli import main
-from botnet_mfg.model import ModelParams
+from botnet_mfg.fixedpoint import fixed_point_mixed_asymptotic
+from botnet_mfg.model import ModelParams, StrategyCase, parse_config
 
 CONFIG = """\
 q_rec_D = 1.0
@@ -292,6 +293,23 @@ class TestBadInputs:
         assert code == 1 and not out
         assert json.loads(err)["error"] == "invalid_sim_config"
 
+    @pytest.mark.parametrize("replicas, horizon", [("1000", "1e6"), ("1000001", "1e-6")],
+                             ids=["samples", "replicas"])
+    def test_simulate_rejects_more_samples_than_the_cap_before_any_run(
+            self, replicas, horizon, config_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(agentsim, "_run", refuse)
+        code, out, err = run(capsys, "simulate", "--config", config_path, *SIMULATE,
+                             "--seed", "1", "--replicas", replicas, "--horizon", horizon,
+                             "--sample-interval", "1")
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "invalid_replicas",
+            "detail": "replicas * horizon / sample_interval exceeds 1000000"}
+
     @pytest.mark.parametrize("bound", ["inf", "nan"])
     def test_sweep_rejects_non_finite_kappa_max(self, bound, config_path, capsys):
         code, out, err = run(capsys, "sweep", "--config", config_path,
@@ -481,11 +499,10 @@ SOLVER_COMMANDS = {
     "thresholds": [],
     "sweep": ["--kappa-min", "0", "--kappa-max", "1", "--steps", "3"],
 }
-# rates past the float range: an overflowing square in endemic_root, an
-# infinite root off the simplex, and (thresholds) a spectrum of infinities
+# rates past the float range: an overflowing square in endemic_root, or
+# an infinite root off the simplex
 FLOAT_RANGE_CASES = [(command, setting) for command in SOLVER_COMMANDS
                      for setting in ("beta_UU=1e160", "v_H=1e200", "q_rec_U=1e200")]
-FLOAT_RANGE_CASES.append(("thresholds", "lambda=1e200"))
 
 
 # lambda = 1e308 makes the case-i Bellman solution NaN: every command that
@@ -520,15 +537,25 @@ class TestFloatRange:
         point = next(p for p in json.loads(out) if p["case"] == "i")
         assert point["x_UI"] > 0.0
 
-    def test_spectrum_with_roots_near_the_float_range_end(self, config_path, capsys):
-        # the case-iii spectrum at these rates has finite coefficients and
-        # roots near 1e150, whose cubes overflow unless the characteristic
-        # polynomial is scaled first
-        code, out, err = run(capsys, "thresholds", "--config", config_path, "--format", "json",
-                             "--set", "q_rec_U=5e-324", "--set", "v_H=1e150")
-        assert code == 0 and not err
-        values = [v for v in json.loads(out).values() if isinstance(v, float)]
-        assert values and all(math.isfinite(v) for v in values)
+    @pytest.mark.parametrize("setting", ["lambda=1e200", "lambda=1e308"])
+    def test_thresholds_do_not_depend_on_lambda(self, setting, config_path, capsys):
+        # the thresholds are large-lambda limits of closed-form states, so
+        # thresholds prints the README config's bytes at any lambda
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "thresholds", "--config", config_path,
+                                 "--format", fmt, "--set", setting)
+            assert code == 0 and not err
+            assert sha256(out) == GOLDEN_SHA256["thresholds", fmt]
+
+    def test_spectrum_with_roots_near_the_float_range_end(self):
+        # the large-lambda case-iii spectrum at these rates has finite
+        # coefficients and roots near 1e150, whose cubes overflow unless the
+        # characteristic polynomial is scaled first
+        params = ModelParams(**parse_config(CONFIG.splitlines(),
+                                            ["q_rec_U=5e-324", "v_H=1e150"]))
+        fp = fixed_point_mixed_asymptotic(params, StrategyCase.DEFEND_SUSCEPTIBLE)
+        values = [v for z in fp.eigenvalues for v in (z.real, z.imag)]
+        assert all(math.isfinite(v) for v in values)
 
     def test_sweep_checks_its_bounds_before_solving(self, config_path, capsys):
         code, out, err = run(capsys, "sweep", "--config", config_path,

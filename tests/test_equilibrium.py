@@ -35,6 +35,9 @@ def regime_one_params(lam=2000.0):
         lam=lam, v_H=1.0, k_D=0.5, k_I=1.0)
 
 
+README_PARAMS = replace(regime_one_params(), k_D=0.7)
+
+
 def regime_two_params(lam=2000.0):
     """kappa(z) decreasing: both equilibria coexist between the thresholds."""
     return ModelParams(
@@ -136,6 +139,25 @@ class TestKappaFunction:
 
 
 class TestThresholds:
+    @pytest.mark.parametrize("lam", [1.0, 20.0, 1e200, 1e308])
+    def test_report_does_not_depend_on_lambda(self, lam, rng):
+        # every threshold is a large-lam limit built from closed-form
+        # states, so no rate scale of lam enters, even past the float range
+        for params in [README_PARAMS, *(random_params(rng) for _ in range(50))]:
+            expected = repr(kappa_thresholds(replace(params, lam=2000.0)))
+            assert repr(kappa_thresholds(replace(params, lam=lam))) == expected
+
+    def test_builds_no_fixed_point_or_spectrum(self, monkeypatch, rng):
+        draws = [README_PARAMS, *(random_params(rng) for _ in range(20))]
+        expected = [kappa_thresholds(params) for params in draws]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kappa_thresholds built a fixed point or a spectrum")
+
+        for name in ("FixedPoint", "_point", "stability"):
+            monkeypatch.setattr(fixedpoint, name, refuse)
+        assert [kappa_thresholds(params) for params in draws] == expected
+
     def test_star_ordering_tracks_root_ordering(self, rng):
         # with kappa(z) increasing, the larger infected fraction gives the
         # larger threshold

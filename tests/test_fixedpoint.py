@@ -23,6 +23,7 @@ from botnet_mfg.fixedpoint import (
     _swap_du,
     bracket_roots,
     endemic_root,
+    endemic_state,
     fixed_point_residual,
     mixed_quartic_coeffs,
     reconstruct_mixed_state,
@@ -83,6 +84,36 @@ class TestEndemicRoot:
     def test_non_finite_discriminant_raises(self):
         with pytest.raises(OverflowError):
             endemic_root(4.0, 1e200, 1.0)
+
+
+class TestEndemicState:
+    def test_builders_return_its_states(self, rng):
+        for _ in range(50):
+            params = random_params(rng)
+            for case in (CASE_I, CASE_II):
+                fp = fixed_point_acyclic(params, case)
+                assert fp.x == endemic_state(params, case) and fp.method == "closed_form"
+            for case in (CASE_III, CASE_IV):
+                fp = fixed_point_mixed_asymptotic(params, case)
+                assert fp.x == endemic_state(params, case) and fp.method == "large_lambda"
+
+    @pytest.mark.parametrize("case", list(StrategyCase), ids=lambda c: c.label)
+    def test_does_not_depend_on_lambda(self, case):
+        states = {endemic_state(_mk(lam=lam), case) for lam in (1.0, 2000.0, 1e200, 1e308)}
+        assert len(states) == 1
+
+    @pytest.mark.parametrize("case", ["i", None, 3])
+    def test_rejects_what_is_not_a_strategy_case(self, case):
+        with pytest.raises(ValueError):
+            endemic_state(_mk(), case)
+
+    def test_builders_reject_the_other_cases(self):
+        for case in (CASE_III, CASE_IV, "i"):
+            with pytest.raises(ValueError, match="not an acyclic case"):
+                fixed_point_acyclic(_mk(), case)
+        for case in (CASE_I, CASE_II, "iii"):
+            with pytest.raises(ValueError, match="not a mixed case"):
+                fixed_point_mixed_asymptotic(_mk(), case)
 
 
 class TestLargeRecovery:

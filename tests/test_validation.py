@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from botnet_mfg import ModelParams, validation
+from botnet_mfg import ModelParams, kinetic_rhs, validation
 from botnet_mfg.validation import (
     ALL_CHECKS,
     random_control,
@@ -100,3 +102,14 @@ class TestChecks:
         assert results == [check(SEED + i, 5) for i, check in enumerate(ALL_CHECKS)]
         assert validation.CheckResult("x", 1, 0).to_record() == {
             "name": "x", "passed": 1, "failed": 0, "detail": ""}
+
+    def test_mass_conservation_fails_on_a_wrong_flow(self, monkeypatch):
+        # dynamics whose UI -> US recovery runs at q_rec_D still sum to
+        # exactly zero, so only the comparison of d_US with its own flows
+        # can catch them
+        def wrong_rhs(params, x, u):
+            return kinetic_rhs(replace(params, q_rec_U=params.q_rec_D), x, u)
+
+        monkeypatch.setattr(validation, "kinetic_rhs", wrong_rhs)
+        result = validation.check_mass_conservation(SEED, 20)
+        assert result.name == "mass_conservation_exact" and result.failed == 20
