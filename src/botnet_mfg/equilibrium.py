@@ -105,15 +105,15 @@ def _bracketed_points(params: ModelParams) -> list[Bracketed]:
             for fp in stationary_points(params)]
 
 
-def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equilibrium]:
-    """Equilibria at the kappa of ``params``, sorted by average cost.
+def solve_mfg(params: ModelParams) -> list[Equilibrium]:
+    """All stationary equilibria at the kappa of ``params``, sorted by average cost.
 
-    A bracketed point is an equilibrium when its interval holds kappa;
-    only those points are priced with their case's Bellman solution.  An
-    empty list is a legal outcome inside a bifurcation gap.
+    A stationary point is an equilibrium when its case's interval holds
+    kappa; only those points are priced with their case's Bellman
+    solution.  An empty list is a legal outcome inside a bifurcation gap.
     """
     found: list[tuple[hjb_mod.HjbSolution, fp_mod.FixedPoint]] = []
-    for fp, lo, hi in points:
+    for fp, lo, hi in _bracketed_points(params):
         if not lo <= params.kappa <= hi:
             continue
         try:
@@ -130,11 +130,6 @@ def _rank_equilibria(params: ModelParams, points: list[Bracketed]) -> list[Equil
            for sol, fp in found]
     out.sort(key=lambda e: (e.mu, e.case.label))
     return out
-
-
-def solve_mfg(params: ModelParams) -> list[Equilibrium]:
-    """All stationary equilibria, sorted by average cost."""
-    return _rank_equilibria(params, _bracketed_points(params))
 
 
 def kappa_of(params: ModelParams, z: float) -> float:
@@ -283,34 +278,49 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
 
     The stationary points and their exact kappa intervals
     (``hjb.case_interval``) do not depend on kappa, so they are found
-    once per sweep; each grid point only prices the points whose interval
-    holds it.  A row is tagged near_bifurcation when a finite end of a
-    non-empty interval lies between its two neighbours (one grid step,
-    kappa as membership sees it).  Membership changes only at those ends,
-    so the count never changes between two untagged neighbours.
+    once per sweep, and a point's closed form (``hjb.case_pricer``) the
+    first time its interval holds a grid kappa; a grid point evaluates
+    only the k_D terms, at the floats ``params.with_kappa(kappa)`` gives.
+    A row is tagged near_bifurcation when a finite end of a non-empty
+    interval lies between its two neighbours (one grid step, kappa as
+    membership sees it).  Membership changes only at those ends, so the
+    count never changes between two untagged neighbours.
     """
     check_sweep(kappa_min, kappa_max, steps)
     points = _bracketed_points(params)
     ends = [end for _, lo, hi in points if lo <= hi
             for end in (lo, hi) if math.isfinite(end)]
+    params.with_kappa(kappa_max)  # ValueError if k_D overflows: kappa*k_I is monotone in kappa
     span = kappa_max - kappa_min
     step = span / (steps - 1)
     # numpy.linspace's grid, float for float (i/(steps - 1)*span where step underflows to 0)
     kappas = [(i * step if step else i / (steps - 1) * span) + kappa_min
               for i in range(steps - 1)] + [kappa_max]
-    grid = [params.with_kappa(kappa) for kappa in kappas]
-    edges = [grid[0].kappa - step, *(p.kappa for p in grid), grid[-1].kappa + step]
+    k_Ds = [kappa * params.k_I for kappa in kappas]
+    at = [k_D / params.k_I for k_D in k_Ds]
+    edges = [at[0] - step, *at, at[-1] + step]
+    pricers: dict[int, hjb_mod.Pricer | None] = {}
     rows = []
     for i, kappa in enumerate(kappas):
-        eqs = _rank_equilibria(grid[i], points)
-        near = any(edges[i] <= end <= edges[i + 2] for end in ends)
+        found = []
+        for j, (fp, lo, hi) in enumerate(points):
+            if not lo <= at[i] <= hi:
+                continue
+            if j not in pricers:  # no denominator reads k_D: a degenerate point is never priced
+                try:
+                    pricers[j] = hjb_mod.case_pricer(params, fp.x, fp.case)
+                except DegenerateDenominator:
+                    pricers[j] = None
+            if (price := pricers[j]) is not None:
+                found.append((price(k_Ds[i], True).mu, fp.case.label, fp.stable))
+        found.sort(key=lambda t: t[:2])
+        mu_values, cases, stable = tuple(zip(*found)) or ((), (), ())
         rows.append(SweepRow(
             kappa=kappa,
-            count=len(eqs),
-            cases=tuple(e.case.label for e in eqs),
-            mu_values=tuple(e.mu for e in eqs),
-            stable=tuple(e.stable for e in eqs),
-            near_bifurcation=near,
+            count=len(found),
+            cases=cases,
+            mu_values=mu_values,
+            stable=stable,
+            near_bifurcation=any(edges[i] <= end <= edges[i + 2] for end in ends),
         ))
     return rows
-

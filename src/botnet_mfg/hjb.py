@@ -29,7 +29,7 @@ B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
 decided by the domain D1/D2 of x.  P and Q are never negative, so each
 region is one closed interval in kappa, exact at every lam and rate; these
 intervals alone decide whether a case holds, in ``solve_case``'s ``valid``
-flag too, and ``solve_case`` prices it.  ``interval_rule`` is the only
+flag too, and ``case_pricer`` prices it.  ``interval_rule`` is the only
 place the rule lives: ``case_interval`` applies it at a StateDist and
 ``agentsim.kept_test`` at head-counts, adding only the fsum normalization
 a StateDist makes.  An inequality whose P or Q vanishes holds for every
@@ -91,6 +91,8 @@ DEGENERATE_SLACK = 1e-9
 RESIDUAL_SCALE = 1e-10
 # infected fractions (x_DI, x_UI) -> a case's kappa interval (lo, hi)
 IntervalRule = Callable[[float, float], tuple[float, float]]
+# (k_D, valid) -> one case's closed-form solution at a frozen state
+Pricer = Callable[[float, bool], "HjbSolution"]
 
 
 class SingularSystem(ArithmeticError):
@@ -184,52 +186,65 @@ def solve_case(params: ModelParams, x: StateDist, case: StrategyCase,
     ``case_interval(params, x, case)`` passes it as ``interval``.
     """
     lo, hi = interval if interval is not None else case_interval(params, x, case)
+    return case_pricer(params, x, case)(params.k_D, lo <= params.kappa <= hi)
+
+
+def case_pricer(params: ModelParams, x: StateDist, case: StrategyCase) -> Pricer:
+    """case's closed-form solution at x as a function of (k_D, valid).
+
+    The only place the closed forms live: alpha, beta, every denominator
+    (DegenerateDenominator) and every term free of k_D are computed once,
+    here; a call evaluates only the k_D terms.  params.k_D is not read.
+    """
     alpha, beta = alpha_beta(params, x)
-    u, valid = case.control, lo <= params.kappa <= hi
+    u = case.control
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
-    k_D, k_I = params.k_D, params.k_I
+    k_I = params.k_I
+    s_lam, r_lam = alpha + lam + q_D, beta + lam + q_U
 
     if case is StrategyCase.PREFER_UNPROTECTED:
         den = check_denominator(beta + q_U, "beta + q_rec_U")
         g_UI = k_I / den
         mu = beta * g_UI
-        den2 = check_denominator(lam * den * (alpha + lam + q_D), "lam*den*(alpha+lam+q_rec_D)")
-        g_DS = (k_D - mu) / lam + k_I * alpha * (beta + lam + q_U) / den2
-        g_DI = (k_D - mu) / lam + k_I * (alpha + lam) * (beta + lam + q_U) / den2
-        return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
+        den2 = check_denominator(lam * den * s_lam, "lam*den*(alpha+lam+q_rec_D)")
+        c_DS = k_I * alpha * r_lam / den2
+        c_DI = k_I * (alpha + lam) * r_lam / den2
+        return lambda k_D, valid: _finish(
+            params, u, ((k_D - mu) / lam + c_DI, (k_D - mu) / lam + c_DS, g_UI, 0.0), mu, valid)
 
     if case is StrategyCase.PREFER_DEFENDED:
         den = check_denominator(alpha + q_D, "alpha + q_rec_D")
         g_DI = k_I / den
-        mu = k_D + alpha * g_DI
-        den2 = check_denominator(lam * den * (beta + lam + q_U), "lam*den*(beta+lam+q_rec_U)")
-        g_US = -k_D / lam + k_I * (beta * (lam + q_D) - alpha * (lam + q_U)) / den2
-        g_UI = -k_D / lam + k_I * ((beta + lam) * (lam + q_D) - alpha * q_U) / den2
-        return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
+        c_mu = alpha * g_DI
+        den2 = check_denominator(lam * den * r_lam, "lam*den*(beta+lam+q_rec_U)")
+        c_US = k_I * (beta * (lam + q_D) - alpha * (lam + q_U)) / den2
+        c_UI = k_I * ((beta + lam) * (lam + q_D) - alpha * q_U) / den2
+        return lambda k_D, valid: _finish(
+            params, u, (g_DI, 0.0, -k_D / lam + c_UI, -k_D / lam + c_US), k_D + c_mu, valid)
 
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
-        den = check_denominator(alpha * (beta + lam + q_U) + q_U * (alpha + lam + q_D),
+        den = check_denominator(alpha * r_lam + q_U * s_lam,
                                 "alpha*(beta+lam+q_rec_U) + q_rec_U*(alpha+lam+q_rec_D)")
         den2 = check_denominator(lam * den, "lam*den")
-        g_DI = (beta + lam + q_U) * (k_I - k_D) / den
-        g_US = (k_I * (beta * (lam + q_D) - alpha * (lam + q_U))
-                - k_D * (beta + q_U) * (alpha + lam + q_D)) / den2
-        g_UI = (k_I * ((lam + q_D) * (lam + beta) - alpha * q_U)
-                - k_D * (beta + lam + q_U) * (alpha + lam + q_D)) / den2
-        mu = (k_I * alpha * (beta + lam + q_U) + k_D * q_U * (alpha + lam + q_D)) / den
-        return _finish(params, u, (g_DI, 0.0, g_UI, g_US), mu, valid)
+        c_US = k_I * (beta * (lam + q_D) - alpha * (lam + q_U))
+        c_UI = k_I * ((lam + q_D) * (lam + beta) - alpha * q_U)
+        c_mu, r = k_I * alpha * r_lam, beta + q_U
+        return lambda k_D, valid: _finish(params, u, (
+            r_lam * (k_I - k_D) / den, 0.0, (c_UI - k_D * r_lam * s_lam) / den2,
+            (c_US - k_D * r * s_lam) / den2), (c_mu + k_D * q_U * s_lam) / den, valid)
 
     # DEFEND_INFECTED: interval_rule rejects anything else
-    den = check_denominator(beta * (alpha + lam + q_D) + q_D * (beta + lam + q_U),
+    den = check_denominator(beta * s_lam + q_D * r_lam,
                             "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
     den2 = check_denominator(lam * den, "lam*den")
-    g_UI = (k_D + k_I) * (alpha + lam + q_D) / den
-    g_DS = (k_D * (beta + lam + q_U) * (alpha + q_D)
-            + k_I * (alpha * (lam + q_U) - beta * (lam + q_D))) / den2
-    g_DI = (k_D * (beta + lam + q_U) * (alpha + lam + q_D)
-            + k_I * ((alpha + lam) * (lam + q_U) - beta * q_D)) / den2
-    mu = beta * g_UI
-    return _finish(params, u, (g_DI, g_DS, g_UI, 0.0), mu, valid)
+    c_DS = k_I * (alpha * (lam + q_U) - beta * (lam + q_D))
+    c_DI, s = k_I * ((alpha + lam) * (lam + q_U) - beta * q_D), alpha + q_D
+
+    def price(k_D: float, valid: bool) -> HjbSolution:
+        g_UI = (k_D + k_I) * s_lam / den
+        return _finish(params, u, ((k_D * r_lam * s_lam + c_DI) / den2,
+                                   (k_D * r_lam * s + c_DS) / den2, g_UI, 0.0), beta * g_UI, valid)
+    return price
 
 
 def bellman_residual(params: ModelParams, x: StateDist, sol: HjbSolution) -> float:

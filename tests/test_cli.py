@@ -557,6 +557,14 @@ class TestFloatRange:
         values = [v for z in fp.eigenvalues for v in (z.real, z.imag)]
         assert all(math.isfinite(v) for v in values)
 
+    def test_sweep_reports_an_overflowing_k_D(self, config_path, capsys):
+        # kappa_max*k_I overflows: the grid's k_D is checked as a parameter
+        code, out, err = run(capsys, "sweep", "--config", config_path, "--set", "k_I=1e300",
+                             "--kappa-min", "0", "--kappa-max", "1e10", "--steps", "3")
+        assert code == 1 and not out
+        assert err == ('{"error": "degenerate_rates", "detail": '
+                       '"parameter k_D must be finite and >= 0, got inf"}\n')
+
     def test_sweep_checks_its_bounds_before_solving(self, config_path, capsys):
         code, out, err = run(capsys, "sweep", "--config", config_path,
                              "--set", "q_rec_U=1e200",

@@ -245,8 +245,18 @@ class TestSweep:
                  for i, lam in enumerate((1.0, 1.0, 10.0, 10.0, 1000.0, 2000.0))]
         return [regime_one_params(), regime_two_params()] + draws
 
+    @staticmethod
+    def _zero_rate_params():
+        # README rates with zero rates: P or Q vanishes at some stationary
+        # points, or an interval ends exactly on the last grid point
+        readme = regime_one_params(lam=10.0)
+        return [replace(readme, q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
+                replace(readme, q_rec_U=0.0, v_H=0.0, beta_UD=0.0)]
+
     def test_rows_equal_solve_mfg_at_every_grid_point(self, rng):
-        for params in self._sweep_params(rng):
+        extremes = [regime_one_params(lam=1e6), replace(regime_one_params(), k_I=1e-12),
+                    replace(regime_one_params(), q_rec_U=5e-324)]
+        for params in self._sweep_params(rng) + self._zero_rate_params() + extremes:
             rows = sweep_kappa(params, 0.0, 1.0, 41)
             expected = []
             for kappa in np.linspace(0.0, 1.0, 41):
@@ -269,12 +279,7 @@ class TestSweep:
             assert list(map(repr, got)) == list(map(repr, np.linspace(a, b, n).tolist()))
 
     def test_count_changes_only_between_flagged_rows(self, rng):
-        # README rates with zero rates: P or Q vanishes at some stationary
-        # points, or an interval ends exactly on the last grid point
-        readme = regime_one_params(lam=10.0)
-        zero_rate = [replace(readme, q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
-                     replace(readme, q_rec_U=0.0, v_H=0.0, beta_UD=0.0)]
-        for params in self._sweep_params(rng) + zero_rate:
+        for params in self._sweep_params(rng) + self._zero_rate_params():
             rows = sweep_kappa(params, 0.0, 1.0, 200)
             for a, b in zip(rows, rows[1:]):
                 if a.count != b.count:
@@ -304,19 +309,31 @@ class TestSweep:
             assert counts[0]["mixed"] >= 2 and counts[0]["acyclic"] >= 2
 
     def test_only_equilibria_are_priced(self, monkeypatch):
-        calls = 0
+        # each point's closed form is built at most once per sweep, only when
+        # its interval holds a grid kappa, and evaluated once per equilibrium
+        built, evaluations = [], 0
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return solve(*args, **kwargs)
+        def counting(params, x, case):
+            built.append((x, case))
+            price = pricer(params, x, case)
 
-        solve = hjb.solve_case
-        monkeypatch.setattr(hjb, "solve_case", counting)
-        for params in (regime_one_params(), regime_two_params()):
-            calls = 0
+            def counted(k_D, valid):
+                nonlocal evaluations
+                evaluations += 1
+                return price(k_D, valid)
+            return counted
+
+        pricer = hjb.case_pricer
+        monkeypatch.setattr(hjb, "case_pricer", counting)
+        for params in [regime_one_params(), regime_two_params()] + self._zero_rate_params():
+            built.clear()
+            evaluations = 0
             rows = sweep_kappa(params, 0.0, 1.0, 200)
-            assert calls == sum(row.count for row in rows) > 0
+            assert evaluations == sum(row.count for row in rows)
+            held = [(fp.x, fp.case) for fp, lo, hi in equilibrium._bracketed_points(params)
+                    if any(lo <= row.kappa * params.k_I / params.k_I <= hi for row in rows)]
+            assert sorted(built, key=repr) == sorted(held, key=repr)
+            assert len(set(built)) == len(built) > 0
 
     def test_csv_header_and_shape(self):
         params = regime_one_params(lam=500.0)

@@ -243,6 +243,19 @@ class TestMixed:
         assert fp.x.x_DI == pytest.approx(
             fp.x.x_UI * params.q_rec_U / params.lam, rel=20.0 / params.lam)
 
+    def test_spurious_root_at_a_subnormal_recovery_rate_is_dropped(self):
+        # README rates with q_rec_U = 5e-324: the quartic's only root on
+        # [0, 1] is 0.0, whose state (0, 1, 0, 0) is not stationary under
+        # case iii; the residual filter drops it
+        params = _mk(lam=2000.0, q_rec_U=5e-324, beta_UU=4.0, beta_UD=0.5,
+                     beta_DU=4.0, beta_DD=0.5, k_D=0.7)
+        roots = bracket_roots(mixed_quartic_coeffs(params))
+        assert list(map(repr, roots)) == ["0.0"]
+        x = reconstruct_mixed_state(params, roots[0])
+        assert x.as_tuple() == (0.0, 1.0, 0.0, 0.0)
+        assert max(abs(v) for v in kinetic_rhs(params, x, CASE_III.control)) == 0.5
+        assert fixed_point_mixed(params, CASE_III) == []
+
 
 class TestPole:
     """The back-substitution pole q_rec_U = beta_UU*x_DI, here at x_DI = 1/4."""
