@@ -34,13 +34,12 @@ count gives.  Randomness comes from a 64-bit PCG64 generator; each
 replica uses its own stream seeded with base_seed + replica_index, so
 runs are reproducible bit for bit.
 
-In myopic mode the incumbent case is kept while ``kept_test`` holds at
-the head-counts: its exact kappa interval on the fractions c/n divided
-by their fsum, the floats a ``StateDist`` of them stores.  Like
-``rate_table`` the test is built once per switch and is one call per
-jump.  The interval comes from ``hjb.interval_rule``, the only place the
-validity rule lives; ``kept_test`` adds only the fsum normalization.
-When it fails, ``_resolve_control`` builds a ``StateDist`` and
+In myopic mode the incumbent case is kept while its exact kappa
+interval holds at the head-counts: the run builds ``hjb.interval_table``
+once, the only place the validity rule lives, and after each jump (or
+sample) calls it on the fractions c/n divided by their fsum, the floats
+a ``StateDist`` of them stores; that normalization is all the run adds.
+When the interval fails, ``_resolve_control`` builds a ``StateDist`` and
 ``hjb.enumerate_hjb`` at it picks the cheapest holding case.
 
 ``compare_ode`` integrates the kinetic ODE once per distinct starting
@@ -63,7 +62,6 @@ from .model import (
     ControlVector,
     ModelParams,
     StateDist,
-    StrategyCase,
     default_step,
     integrate,
 )
@@ -77,8 +75,6 @@ EVENT_MOVES: tuple[tuple[int, int], ...] = (
 MYOPIC = "myopic"
 # head-counts (n_DI, n_DS, n_UI, n_US) -> running sums of the ten channel rates
 RateTable = Callable[[float, float, float, float], tuple[float, ...]]
-# head-counts -> whether the incumbent case's kappa interval still holds
-KeptTest = Callable[[float, float, float, float], bool]
 _UNIT = 2.0 ** -53   # a 53-bit integer times this is a uniform in [0, 1)
 MAX_AGENTS = 2 ** 53  # float head-counts are exact up to here
 MAX_SAMPLES = 10 ** 6  # samples of a run, over all its replicas, each kept as one row in memory
@@ -224,26 +220,6 @@ def rate_table(params: ModelParams, n_agents: int,
     return sums
 
 
-def kept_test(params: ModelParams, n_agents: int, case: StrategyCase) -> KeptTest:
-    """Whether case's kappa interval holds kappa at the head-counts.
-
-    Returns a function of (n_DI, n_DS, n_UI, n_US) that divides the
-    fractions c/n by their fsum, which is not always 1.0 on the lattice,
-    so it reads the floats a ``StateDist`` of them stores, and asks
-    ``hjb.interval_rule`` for the interval there.
-    """
-    rule = hjb_mod.interval_rule(params, case)
-    kappa, fsum = params.kappa, math.fsum
-
-    def holds(c_DI, c_DS, c_UI, c_US):
-        f_DI, f_UI = c_DI / n_agents, c_UI / n_agents
-        total = fsum((f_DI, c_DS / n_agents, f_UI, c_US / n_agents))
-        lo, hi = rule(f_DI / total, f_UI / total)
-        return lo <= kappa <= hi
-
-    return holds
-
-
 def generator_drift(params: ModelParams, counts: AgentCounts,
                     u: ControlVector) -> tuple[float, float, float, float]:
     """(1/N) * sum over channels of rate * jump direction.
@@ -264,7 +240,7 @@ def generator_drift(params: ModelParams, counts: AgentCounts,
 
 def _resolve_control(params: ModelParams, counts: list[float], n: int,
                      notes: list[str], t: float) -> hjb_mod.HjbSolution | None:
-    """Myopic rule at the head-counts, run where no incumbent's ``kept_test``
+    """Myopic rule at the head-counts, run where no incumbent's interval
     holds: the cheapest solution of ``enumerate_hjb`` at
     ``_dist_of(counts, n)``, or None, with the gap noted, when no case
     holds and the control is retained.
@@ -284,12 +260,15 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
 
     notes: list[str] = []
     switches: list[SwitchEvent] = []
-    kept: KeptTest | None = None  # no incumbent: each recompute runs the full rule
+    # END_INDEX of the incumbent case; None: each recompute runs the full rule
+    incumbent: int | None = None
     if myopic:
+        intervals = hjb_mod.interval_table(params)
+        kappa, fsum = params.kappa, math.fsum
         sol = _resolve_control(params, counts4, n, notes, 0.0)
         control = ControlVector(0, 0, 0, 0)
         if sol is not None:
-            control, kept = sol.control, kept_test(params, n, sol.case)
+            control, incumbent = sol.control, hjb_mod.END_INDEX[sol.case]
     else:
         control = cfg.policy  # type: ignore[assignment]
     table = rate_table(params, n, control)
@@ -338,13 +317,21 @@ def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
             counts4[dst] += 1.0
             recompute = per_event
 
-        if recompute and (kept is None or not kept(*counts4)):
-            sol = _resolve_control(params, counts4, n, notes, t)
-            if sol is not None:
-                switches.append(SwitchEvent(t, _case_label(control), sol.case.label, sol.mu))
-                control = sol.control
-                table = rate_table(params, n, control)
-                kept = kept_test(params, n, sol.case)
+        if recompute:
+            if incumbent is not None:
+                # the incumbent's interval at the StateDist of the head-counts
+                c_DI, c_DS, c_UI, c_US = counts4
+                f_DI, f_UI = c_DI / n, c_UI / n
+                f_sum = fsum((f_DI, c_DS / n, f_UI, c_US / n))
+                ends = intervals(f_DI / f_sum, f_UI / f_sum)
+                recompute = not ends[incumbent] <= kappa <= ends[incumbent + 1]
+            if recompute:
+                sol = _resolve_control(params, counts4, n, notes, t)
+                if sol is not None:
+                    switches.append(SwitchEvent(t, _case_label(control), sol.case.label, sol.mu))
+                    control = sol.control
+                    table = rate_table(params, n, control)
+                    incumbent = hjb_mod.END_INDEX[sol.case]
 
     return Trajectory(
         times=np.array(times),

@@ -101,8 +101,12 @@ def stationary_points(params: ModelParams) -> list[fp_mod.FixedPoint]:
 
 def _bracketed_points(params: ModelParams) -> list[Bracketed]:
     """Every stationary point with its case's exact kappa interval; neither depends on kappa."""
-    return [(fp, *hjb_mod.case_interval(params, fp.x, fp.case))
-            for fp in stationary_points(params)]
+    intervals = hjb_mod.interval_table(params)
+    points: list[Bracketed] = []
+    for fp in stationary_points(params):
+        ends, k = intervals(fp.x.x_DI, fp.x.x_UI), hjb_mod.END_INDEX[fp.case]
+        points.append((fp, ends[k], ends[k + 1]))
+    return points
 
 
 def solve_mfg(params: ModelParams) -> list[Equilibrium]:
@@ -117,7 +121,7 @@ def solve_mfg(params: ModelParams) -> list[Equilibrium]:
         if not lo <= params.kappa <= hi:
             continue
         try:
-            sol = hjb_mod.solve_case(params, fp.x, fp.case, (lo, hi))
+            sol = hjb_mod.case_pricer(params, fp.x, fp.case)(params.k_D, True)
         except DegenerateDenominator:
             continue
         found.append((sol, fp))
@@ -277,7 +281,7 @@ def sweep_kappa(params: ModelParams, kappa_min: float, kappa_max: float,
     """Equilibrium structure along a kappa grid, k_I held fixed.
 
     The stationary points and their exact kappa intervals
-    (``hjb.case_interval``) do not depend on kappa, so they are found
+    (``hjb.interval_table``) do not depend on kappa, so they are found
     once per sweep, and a point's closed form (``hjb.case_pricer``) the
     first time its interval holds a grid kappa; a grid point evaluates
     only the k_D terms, at the floats ``params.with_kappa(kappa)`` gives.

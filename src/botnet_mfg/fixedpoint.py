@@ -42,7 +42,7 @@ from .model import (
 
 BISECT_TOL = 1e-13
 ROOT_ZERO_TOL = 1e-15    # |p(y)| <= this * sum|c_i| counts as a root at y
-RESIDUAL_TOL = 1e-9      # sup-norm bound on kinetic_rhs at a returned point
+RESIDUAL_REL_TOL = 1e-13  # sup-norm bound on kinetic_rhs at a point, in units of max_rate()
 STABLE_EIG_TOL = -1e-12  # stable <=> all eigenvalue real parts below this
 NEWTON_STEPS = 100       # bound on the cubic's Newton iteration, which stops on its own
 
@@ -243,8 +243,9 @@ def fixed_point_mixed(params: ModelParams, case: StrategyCase) -> list[FixedPoin
     states of the relabeled problem and swaps their coordinates back.
     Roots that cannot be reconstructed into a simplex point (those at the
     back-substitution pole included) are discarded, as are reconstructions
-    whose kinetic residual exceeds the fixed-point tolerance; the spectrum
-    is computed only for the states kept.
+    whose kinetic residual exceeds RESIDUAL_REL_TOL * max_rate(), a bound
+    in the rates' own unit; the spectrum is computed only for the states
+    kept.
     """
     if case is StrategyCase.DEFEND_SUSCEPTIBLE:
         return [_point(params, x, case, "quartic_numeric") for x in _case_iii_states(params)]
@@ -263,7 +264,7 @@ def _case_iii_states(params: ModelParams) -> list[StateDist]:
             x = reconstruct_mixed_state(params, root)
         except (DegenerateDenominator, ValueError):
             continue
-        if _residual(params, x, control) <= RESIDUAL_TOL:
+        if _residual(params, x, control) <= RESIDUAL_REL_TOL * params.max_rate():
             states.append(x)
     return states
 

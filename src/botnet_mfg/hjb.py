@@ -29,11 +29,13 @@ B - A = lam*((beta+q_rec_U) - (alpha+q_rec_D)), so ordering of A and B is
 decided by the domain D1/D2 of x.  P and Q are never negative, so each
 region is one closed interval in kappa, exact at every lam and rate; these
 intervals alone decide whether a case holds, in ``solve_case``'s ``valid``
-flag too, and ``case_pricer`` prices it.  ``interval_rule`` is the only
-place the rule lives: ``case_interval`` applies it at a StateDist and
-``agentsim.kept_test`` at head-counts, adding only the fsum normalization
-a StateDist makes.  An inequality whose P or Q vanishes holds for every
-kappa or for none; with P, Q > 0 the intervals are
+flag too, and ``case_pricer`` prices it.  ``interval_table`` is the only
+place the rule lives: one evaluation at (x_DI, x_UI) gives all four
+intervals.  ``enumerate_hjb`` evaluates it once per call,
+``case_interval`` reads one case from it at a StateDist, and the myopic
+simulator checks its incumbent with it at the head-counts, adding only
+the fsum normalization a StateDist makes.  An inequality whose P or Q
+vanishes holds for every kappa or for none; with P, Q > 0 the intervals are
 
     case i   : [max(A,B)/Q, inf)
     case ii  : (-inf, min(A,B)/P]
@@ -89,8 +91,11 @@ from .model import (
 # degenerate; validity itself is decided by the exact case_interval
 DEGENERATE_SLACK = 1e-9
 RESIDUAL_SCALE = 1e-10
-# infected fractions (x_DI, x_UI) -> a case's kappa interval (lo, hi)
-IntervalRule = Callable[[float, float], tuple[float, float]]
+# infected fractions (x_DI, x_UI) -> every case's kappa interval, its ends
+# (lo, hi) flat in StrategyCase order
+IntervalTable = Callable[[float, float], tuple[float, ...]]
+# a case's lo in an IntervalTable's ends; its hi follows
+END_INDEX = {case: 2 * k for k, case in enumerate(StrategyCase)}
 # (k_D, valid) -> one case's closed-form solution at a frozen state
 Pricer = Callable[[float, bool], "HjbSolution"]
 
@@ -175,17 +180,16 @@ def _finish(params: ModelParams, u: ControlVector, g: tuple[float, float, float,
     )
 
 
-def solve_case(params: ModelParams, x: StateDist, case: StrategyCase,
-               interval: tuple[float, float] | None = None) -> HjbSolution:
+def solve_case(params: ModelParams, x: StateDist, case: StrategyCase) -> HjbSolution:
     """Closed-form (g, mu) for one strategy case at a frozen state x.
 
     The returned solution always satisfies the fixed-control linear system;
     ``valid`` reports whether the case's interval holds kappa, that is
     whether its control attains the minimum in every line, with the signed
-    margins in ``slack1``/``slack2``.  A caller that has just computed
-    ``case_interval(params, x, case)`` passes it as ``interval``.
+    margins in ``slack1``/``slack2``.  A caller that knows the case holds
+    prices it with ``case_pricer`` instead.
     """
-    lo, hi = interval if interval is not None else case_interval(params, x, case)
+    lo, hi = case_interval(params, x, case)
     return case_pricer(params, x, case)(params.k_D, lo <= params.kappa <= hi)
 
 
@@ -233,7 +237,7 @@ def case_pricer(params: ModelParams, x: StateDist, case: StrategyCase) -> Pricer
             r_lam * (k_I - k_D) / den, 0.0, (c_UI - k_D * r_lam * s_lam) / den2,
             (c_US - k_D * r * s_lam) / den2), (c_mu + k_D * q_U * s_lam) / den, valid)
 
-    # DEFEND_INFECTED: interval_rule rejects anything else
+    # DEFEND_INFECTED
     den = check_denominator(beta * s_lam + q_D * r_lam,
                             "beta*(alpha+lam+q_rec_D) + q_rec_D*(beta+lam+q_rec_U)")
     den2 = check_denominator(lam * den, "lam*den")
@@ -270,34 +274,31 @@ def control_attains_min(sol: HjbSolution, tol: float) -> bool:
     return not (m_DI < -tol or m_DS < -tol or m_UI < -tol or m_US < -tol)
 
 
-def interval_rule(params: ModelParams, case: StrategyCase) -> IntervalRule:
-    """case's kappa interval as a function of the infected fractions.
+def interval_table(params: ModelParams) -> IntervalTable:
+    """Every case's kappa interval as a function of the infected fractions.
 
     The only place the validity rule lives: returns a function of
-    (x_DI, x_UI) giving the interval (lo, hi), ends included, on which
-    case holds.  The rates and lam + q_rec are read once, here; each call
-    computes alpha, beta and the module docstring's A, B, P, Q, then the
-    ends.  Exact at every rate: an inequality kappa*d >= n or
+    (x_DI, x_UI) giving the ends (lo, hi), ends included, of every case's
+    interval, flat in StrategyCase order (END_INDEX[case] is the index of
+    its lo).  The rates and lam + q_rec are read once, here; each call
+    computes alpha, beta and the module docstring's A, B, P, Q once, then
+    every end.  Exact at every rate: an inequality kappa*d >= n or
     kappa*d <= n with d = 0 holds for every kappa or for none, and then
-    bounds kappa by an infinity.  The case is valid for no finite kappa
-    when lo > hi or an end is infinite on the wrong side.
+    bounds kappa by an infinity.  A case is valid for no finite kappa when
+    lo > hi or an end is infinite on the wrong side.
     """
-    if not isinstance(case, StrategyCase):
-        raise ValueError(f"unknown case {case!r}")
     dir_D = params.q_inf_D * params.v_H
     dir_U = params.q_inf_U * params.v_H
     b_DD, b_UD, b_DU, b_UU = params.beta_DD, params.beta_UD, params.beta_DU, params.beta_UU
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U
     lam_D, lam_U = lam + q_D, lam + q_U
     inf = math.inf
-    case_i, case_ii = case is StrategyCase.PREFER_UNPROTECTED, case is StrategyCase.PREFER_DEFENDED
-    # case iv is case iii with A and B swapped
-    swap = case is StrategyCase.DEFEND_INFECTED
 
-    # the least kappa with kappa*d >= n is n/d for d > 0, else -inf or inf;
-    # the greatest with kappa*d <= n is n/d for d > 0, else inf or -inf;
-    # max(a, b) is b if b > a else a and min(a, b) is b if b < a else a
-    def rule(x_DI, x_UI):
+    # lo_n_d is the least kappa with kappa*d >= n and hi_n_d the greatest
+    # with kappa*d <= n: both n/d for d > 0; for d = 0, lo is -inf or inf
+    # and hi is inf or -inf; max(a, b) is b if b > a else a and min(a, b)
+    # is b if b < a else a
+    def table(x_DI, x_UI):
         alpha = dir_D + x_DI * b_DD + x_UI * b_UD
         beta = dir_U + x_DI * b_DU + x_UI * b_UU
         A = (beta + lam) * q_D - (alpha + lam) * q_U
@@ -305,34 +306,34 @@ def interval_rule(params: ModelParams, case: StrategyCase) -> IntervalRule:
         s, r = alpha + q_D, beta + q_U
         P = s * (r + lam)
         Q = (s + lam) * r
-        if case_i:  # [max(A/Q, B/Q), inf)
-            if Q > 0.0:
-                lo_A, lo_B = A / Q, B / Q
-            else:
-                lo_A = -inf if A <= 0.0 else inf
-                lo_B = -inf if B <= 0.0 else inf
-            return (lo_B if lo_B > lo_A else lo_A), inf
-        if case_ii:  # (-inf, min(A/P, B/P)]
-            if P > 0.0:
-                hi_A, hi_B = A / P, B / P
-            else:
-                hi_A = inf if A >= 0.0 else -inf
-                hi_B = inf if B >= 0.0 else -inf
-            return -inf, (hi_B if hi_B < hi_A else hi_A)
-        if swap:
-            A, B = B, A
-        # case iii [A/P, B/Q], case iv [B/P, A/Q]
-        return (A / P if P > 0.0 else (-inf if A <= 0.0 else inf),
-                B / Q if Q > 0.0 else (inf if B >= 0.0 else -inf))
+        if P > 0.0:
+            lo_A_P = hi_A_P = A / P
+            lo_B_P = hi_B_P = B / P
+        else:
+            lo_A_P, hi_A_P = (-inf if A <= 0.0 else inf), (inf if A >= 0.0 else -inf)
+            lo_B_P, hi_B_P = (-inf if B <= 0.0 else inf), (inf if B >= 0.0 else -inf)
+        if Q > 0.0:
+            lo_A_Q = hi_A_Q = A / Q
+            lo_B_Q = hi_B_Q = B / Q
+        else:
+            lo_A_Q, hi_A_Q = (-inf if A <= 0.0 else inf), (inf if A >= 0.0 else -inf)
+            lo_B_Q, hi_B_Q = (-inf if B <= 0.0 else inf), (inf if B >= 0.0 else -inf)
+        # i [max(A/Q, B/Q), inf), ii (-inf, min(A/P, B/P)], iii [A/P, B/Q], iv [B/P, A/Q]
+        return (lo_B_Q if lo_B_Q > lo_A_Q else lo_A_Q, inf,
+                -inf, hi_B_P if hi_B_P < hi_A_P else hi_A_P,
+                lo_A_P, hi_B_Q,
+                lo_B_P, hi_A_Q)
 
-    return rule
+    return table
 
 
 def case_interval(params: ModelParams, x: StateDist,
                   case: StrategyCase) -> tuple[float, float]:
     """The kappa interval (lo, hi), ends included, on which case is valid at x
-    (``interval_rule`` at x's infected fractions)."""
-    return interval_rule(params, case)(x.x_DI, x.x_UI)
+    (case's ends of ``interval_table`` at x's infected fractions)."""
+    ends = interval_table(params)(x.x_DI, x.x_UI)
+    k = END_INDEX[case]
+    return ends[k], ends[k + 1]
 
 
 def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
@@ -344,13 +345,13 @@ def enumerate_hjb(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     the module docstring).  More than two distinct solutions raises
     TooManySolutions.
     """
-    kappa = params.kappa
+    kappa, k_D = params.kappa, params.k_D
+    ends = interval_table(params)(x.x_DI, x.x_UI)
     solutions = []
-    for case in StrategyCase:
-        lo, hi = case_interval(params, x, case)
+    for case, lo, hi in zip(StrategyCase, ends[::2], ends[1::2]):
         if lo <= kappa <= hi:
             try:
-                solutions.append(solve_case(params, x, case, (lo, hi)))
+                solutions.append(case_pricer(params, x, case)(k_D, True))
             except DegenerateDenominator:
                 continue
     solutions.sort(key=lambda s: (s.mu, s.case.label))
@@ -421,7 +422,7 @@ def oracle_enumerate(params: ModelParams, x: StateDist) -> list[HjbSolution]:
     binary control (module docstring) and keep those whose control attains
     every minimum, sorted by mu, dropping any equal within
     DEGENERATE_SLACK*k_I to an earlier one.  Independent of the closed forms
-    and of ``interval_rule``; must agree with enumerate_hjb.
+    and of ``interval_table``; must agree with enumerate_hjb.
     """
     alpha, beta = alpha_beta(params, x)
     lam, q_D, q_U = params.lam, params.q_rec_D, params.q_rec_U

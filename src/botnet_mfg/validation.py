@@ -211,17 +211,18 @@ def check_fixed_points(seed: int, trials: int) -> CheckResult:
     checked = 0
     for _ in range(trials):
         params = random_params(rng)
+        bound = fixedpoint.RESIDUAL_REL_TOL * params.max_rate()
         for case in (StrategyCase.PREFER_UNPROTECTED, StrategyCase.PREFER_DEFENDED):
             fp = fixedpoint.fixed_point_acyclic(params, case)
             checked += 1
-            if fixedpoint.fixed_point_residual(params, fp) > fixedpoint.RESIDUAL_TOL:
+            if fixedpoint.fixed_point_residual(params, fp) > bound:
                 failed += 1
             elif not fp.stable:
                 failed += 1
         for case in (StrategyCase.DEFEND_SUSCEPTIBLE, StrategyCase.DEFEND_INFECTED):
             for fp in fixedpoint.fixed_point_mixed(params, case):
                 checked += 1
-                if fixedpoint.fixed_point_residual(params, fp) > fixedpoint.RESIDUAL_TOL:
+                if fixedpoint.fixed_point_residual(params, fp) > bound:
                     failed += 1
     return CheckResult("fixed_point_residuals", checked - failed, failed,
                        detail=f"{checked} points across {trials} draws")

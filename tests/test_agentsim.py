@@ -29,7 +29,6 @@ from botnet_mfg.agentsim import (
     _dist_of,
     _resolve_control,
     generator_drift,
-    kept_test,
     rate_table,
     replica_trajectories,
 )
@@ -472,8 +471,8 @@ class TestMyopicDecision:
             if not solutions or any(s.degenerate for s in solutions):
                 continue
             best = solutions[0]
-            # a control outside the four cases has no kept test
-            if incumbent is not None and kept_test(params, n, incumbent)(*counts):
+            # a control outside the four cases has no interval
+            if incumbent is not None and _interval_holds(params, counts, n, incumbent):
                 assert incumbent is best.case, (params, counts, incumbent)
             else:
                 notes = []
@@ -485,24 +484,35 @@ class TestMyopicDecision:
             compared += 1
         assert switched > 1000
 
-    def test_kept_decision_prices_nothing(self, rng, monkeypatch):
-        calls = []
-        real_solve = hjb.solve_case
-        monkeypatch.setattr(agentsim, "_dist_of",
-                            lambda *args: calls.append(args) or _dist_of(*args))
-        monkeypatch.setattr(hjb, "solve_case",
-                            lambda *args: calls.append(args) or real_solve(*args))
-        kept = 0
-        while kept < 200:
-            params = random_params(rng, lam=20.0)
-            n = LATTICE_SIZES[kept % len(LATTICE_SIZES)]
-            counts = _lattice_counts(rng, n)
-            for case in StrategyCase:
-                if _interval_holds(params, counts, n, case):
-                    calls.clear()
-                    assert kept_test(params, n, case)(*counts)
-                    assert not calls
-                    kept += 1
+    def test_kept_decision_prices_nothing(self, monkeypatch):
+        # every case is priced inside an enumerate_hjb call, and those run
+        # only on a switch or a note
+        depth, enumerated, outside = [0], [], []
+        real_enumerate, real_pricer = hjb.enumerate_hjb, hjb.case_pricer
+
+        def enumerate_hjb(*args):
+            enumerated.append(args)
+            depth[0] += 1
+            try:
+                return real_enumerate(*args)
+            finally:
+                depth[0] -= 1
+
+        def case_pricer(*args):
+            if not depth[0]:
+                outside.append(args)
+            return real_pricer(*args)
+
+        monkeypatch.setattr(hjb, "enumerate_hjb", enumerate_hjb)
+        monkeypatch.setattr(hjb, "case_pricer", case_pricer)
+        for recompute in ("interval", "event"):
+            enumerated.clear()
+            cfg = SimConfig(n_agents=200, horizon=4.0, seed=2024, policy="myopic",
+                            sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2),
+                            myopic_recompute=recompute)
+            traj = simulate_myopic(GAP_PARAMS, cfg)
+            assert traj.switches and not outside
+            assert len(enumerated) == 1 + len(traj.switches) + len(traj.notes)
 
     def test_shared_end_keeps_incumbent(self):
         # kappa = A/P is the upper end of case ii and the lower end of case iii
@@ -515,98 +525,112 @@ class TestMyopicDecision:
         holding = {case for case in StrategyCase
                    if _interval_holds(params, counts, n, case)}
         assert holding == {CASE_II, CASE_III}
-        for case in (CASE_II, CASE_III):
-            assert kept_test(params, n, case)(*counts)
         best = min((hjb.solve_case(params, x, case) for case in (CASE_II, CASE_III)),
                    key=lambda s: (s.mu, s.case.label))
-        assert not kept_test(params, n, CASE_I)(*counts)
+        assert not _interval_holds(params, counts, n, CASE_I)
         sol = _resolve_control(params, counts, n, [], 0.0)
         assert (sol.control, sol.mu) == (best.control, best.mu)
 
 
 class TestKeptDecisionFromCounts:
-    """The myopic rule reads the head-counts directly."""
+    """The myopic run checks its incumbent from the head-counts."""
 
     def test_lattice_fractions_are_statedist_floats(self, rng):
-        # kappa on an end of case_interval at StateDist(c/n): the verdict
-        # there turns on the last ulp of the fractions
+        # the run divides c/n by their fsum, the floats StateDist(c/n)
+        # stores; with kappa on an end of case_interval there, the raw
+        # fractions c/n can give the other verdict
         checked = differs = 0
         for n in LATTICE_SIZES:
             for _ in range(500):
                 counts = _lattice_counts(rng, n)
                 fractions = [c / n for c in counts]
-                if math.fsum(fractions) == 1.0:
+                total = math.fsum(fractions)
+                if total == 1.0:
                     continue
                 x = StateDist(*fractions)
+                assert (x.x_DI, x.x_UI) == (fractions[0] / total, fractions[2] / total)
                 for case in StrategyCase:
-                    raw_rule = hjb.interval_rule(GAP_PARAMS, case)
+                    k = hjb.END_INDEX[case]
                     for end in case_interval(GAP_PARAMS, x, case):
                         if not (math.isfinite(end) and end >= 0.0):
                             continue
                         params = GAP_PARAMS.with_kappa(end)
                         holds = _interval_holds(params, counts, n, case)
-                        assert kept_test(params, n, case)(*counts) == holds, (n, counts, case)
-                        lo, hi = raw_rule(fractions[0], fractions[2])
-                        differs += (lo <= params.kappa <= hi) != holds
+                        raw = hjb.interval_table(params)(fractions[0], fractions[2])
+                        differs += (raw[k] <= params.kappa <= raw[k + 1]) != holds
                         checked += 1
         assert checked > 100 and differs > 0
 
-    def test_agrees_with_holds_at_the_statedist(self, rng):
-        lams = (1.0, 10.0, 20.0, 1000.0, 2000.0)
-        zero_denominators = at_end = 0
-        for k in range(2000):
-            params = random_params(rng, lam=lams[k % 5])
-            n = LATTICE_SIZES[k % len(LATTICE_SIZES)]
-            counts = _lattice_counts(rng, n)
-            while k % 4 == 1 and n >= 100 and math.fsum(c / n for c in counts) == 1.0:
-                # off the float simplex only the division by the fsum gives x
-                counts = _lattice_counts(rng, n)
-            if k % 4 == 3:
-                # no infected agents: P = 0 under the first rates, Q = 0
-                # under the second, both with A = B = 0 under the third,
-                # so an end is an infinity
-                zero = (dict(q_rec_D=0.0, v_H=0.0, beta_DD=0.0),
-                        dict(q_rec_U=0.0, v_H=0.0, beta_UD=0.0),
-                        dict(q_rec_D=0.0, q_rec_U=0.0, v_H=0.0))[k // 4 % 3]
-                params = replace(params, **zero)
-                counts = [0, counts[0] + counts[1], 0, counts[2] + counts[3]]
-            case = list(StrategyCase)[rng.integers(4)]
-            x = _dist_of(counts, n)
-            th = case_thresholds(params, x)
-            zero_denominators += th["P"] == 0.0 or th["Q"] == 0.0
-            ends = [end for end in case_interval(params, x, case)
-                    if math.isfinite(end) and end >= 0.0]
-            if ends and k % 2:
-                # kappa on an end of one case's interval: one ulp of x decides
-                params = params.with_kappa(ends[rng.integers(len(ends))])
-                at_end += 1
-            for incumbent in StrategyCase:
-                kept = kept_test(params, n, incumbent)(*counts)
-                assert kept == _interval_holds(params, counts, n, incumbent), (
-                    params, counts, incumbent)
-                if not kept:
-                    # the full rule switches to a holding case, or notes the gap
-                    notes = []
-                    sol = _resolve_control(params, counts, n, notes, 0.0)
-                    assert (sol is None) == bool(notes), (params, counts, incumbent)
-                    assert sol is None or sol.case is not incumbent
-        assert zero_denominators > 100 and at_end > 500
+    def test_agrees_with_holds_at_the_statedist(self, monkeypatch):
+        # every evaluation of the interval table in a per-event run reads
+        # the StateDist of the head-counts that the next rate-table call
+        # sees; P = 0 without infected agents under the zero rates
+        pending, checks = [], []
+        real_table, real_rates = hjb.interval_table, agentsim.rate_table
 
-    def test_built_once_per_switch_and_never_for_a_fixed_control(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(agentsim, "kept_test",
-                            lambda *args: built.append(args) or kept_test(*args))
+        def interval_table(params):
+            table = real_table(params)
+            return lambda *x: pending.append(x) or table(*x)
+
+        def rate_table(params, n, u):
+            sums = real_rates(params, n, u)
+
+            def traced(*counts):
+                x = _dist_of(counts, n)
+                for x_DI, x_UI in pending:
+                    assert (x_DI, x_UI) == (x.x_DI, x.x_UI), (n, counts)
+                    checks.append((counts[0] / n, counts[2] / n) != (x_DI, x_UI))
+                pending.clear()
+                return sums(*counts)
+            return traced
+
+        monkeypatch.setattr(hjb, "interval_table", interval_table)
+        monkeypatch.setattr(agentsim, "rate_table", rate_table)
+        zero_rates = replace(GAP_PARAMS, q_rec_D=0.0, v_H=0.0, beta_DD=0.0)
+        for params, n, initial in (
+                (GAP_PARAMS, 2499, StateDist(0.3, 0.3, 0.2, 0.2)),
+                (GAP_PARAMS, 10_000, StateDist(0.3, 0.3, 0.2, 0.2)),
+                (zero_rates, 2499, StateDist(0.0, 0.6, 0.0, 0.4))):
+            checks.clear()
+            cfg = SimConfig(n_agents=n, horizon=0.5, seed=7, policy="myopic",
+                            sample_interval=0.05, initial=initial, myopic_recompute="event")
+            traj = simulate_myopic(params, cfg)
+            assert not pending
+            assert len(checks) > 1000, (n, len(checks))
+            if params is GAP_PARAMS:
+                # the fsum normalization changed the fractions the table read
+                assert any(checks) and traj.switches, n
+            else:
+                assert case_thresholds(params, initial)["P"] == 0.0
+            # a failed incumbent is never re-adopted
+            assert all(s.old_case != s.new_case for s in traj.switches)
+
+    def test_one_table_per_run_and_none_for_a_fixed_control(self, monkeypatch):
+        # depth 0: built by the run; depth 1: inside an enumerate_hjb call
+        builds, depth = [], [0]
+        real_table, real_enumerate = hjb.interval_table, hjb.enumerate_hjb
+
+        def enumerate_hjb(*args):
+            depth[0] += 1
+            try:
+                return real_enumerate(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hjb, "enumerate_hjb", enumerate_hjb)
+        monkeypatch.setattr(hjb, "interval_table",
+                            lambda params: builds.append(depth[0]) or real_table(params))
         cfg = SimConfig(n_agents=200, horizon=4.0, seed=2024, policy=U_I,
                         sample_interval=0.25, initial=StateDist(0.3, 0.3, 0.2, 0.2))
         simulate(sim_params(), cfg)
-        assert built == []
+        assert builds == []
         for recompute in ("interval", "event"):
-            built.clear()
+            builds.clear()
             traj = simulate_myopic(GAP_PARAMS, replace(cfg, policy="myopic",
                                                        myopic_recompute=recompute))
-            assert traj.switches and not traj.notes
-            assert [case.label for _, _, case in built] == [
-                traj.cases[0], *(s.new_case for s in traj.switches)]
+            assert len(traj.switches) > 1 and not traj.notes
+            assert builds.count(0) == 1
+            assert builds.count(1) == 1 + len(traj.switches)
 
     def test_full_rule_runs_only_on_a_switch_or_a_note(self, monkeypatch):
         calls = []

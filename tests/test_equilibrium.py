@@ -385,7 +385,7 @@ class TestTimeUnit:
         readme = replace(regime_one_params(), k_D=0.7)
         return [readme] + [random_params(rng) for _ in range(200)]
 
-    @pytest.mark.parametrize("c", [1e-9, 3.2e-8, 1e-6, 1e-3, 1e3, 1e5])
+    @pytest.mark.parametrize("c", [1e-9, 3.2e-8, 1e-6, 1e-3, 1e3, 1e5, 3.2e7, 1e12])
     def test_equilibria_points_thresholds_and_domains_do_not_change(self, c, draws):
         for params in draws:
             base, scaled = _structure(params), _structure(_in_time_unit(params, c))

@@ -63,14 +63,6 @@ class TestSolveCase:
                     assert bellman_residual(params, x, sol) <= tol
                     assert control_attains_min(sol, DEGENERATE_SLACK * params.k_I)
 
-    def test_a_passed_interval_gives_the_same_solution(self, rng):
-        for _ in range(300):
-            params = random_params(rng)
-            x = random_state(rng)
-            for case in StrategyCase:
-                interval = case_interval(params, x, case)
-                assert solve_case(params, x, case, interval) == solve_case(params, x, case)
-
     def test_renormalized_to_zero_minimum(self, rng):
         for _ in range(200):
             params = random_params(rng)
@@ -251,9 +243,36 @@ class TestEnumerate:
     def test_three_distinct_solutions_raise(self, base_params, interior_state, monkeypatch):
         # the invariant is an explicit check, so it also holds under python -O;
         # with every interval the whole line, four distinct solutions are priced
-        monkeypatch.setattr(hjb, "case_interval", lambda *args: (-math.inf, math.inf))
+        monkeypatch.setattr(hjb, "interval_table",
+                            lambda params: lambda x_DI, x_UI: (-math.inf, math.inf) * 4)
         with pytest.raises(TooManySolutions):
             enumerate_hjb(base_params, interior_state)
+
+    def test_solutions_are_solve_case_solutions(self, rng):
+        # enumerate_hjb prices a holding case with case_pricer directly
+        priced = 0
+        for _ in range(300):
+            params = random_params(rng)
+            x = random_state(rng)
+            for sol in enumerate_hjb(params, x):
+                assert sol == solve_case(params, x, sol.case), (params, x)
+                priced += 1
+        assert priced > 200
+
+    def test_one_table_built_and_evaluated_once(self, base_params, interior_state,
+                                                monkeypatch):
+        builds, calls = [], []
+        real_table = hjb.interval_table
+
+        def interval_table(params):
+            builds.append(params)
+            table = real_table(params)
+            return lambda *x: calls.append(x) or table(*x)
+
+        monkeypatch.setattr(hjb, "interval_table", interval_table)
+        assert enumerate_hjb(base_params, interior_state)
+        assert builds == [base_params]
+        assert calls == [(interior_state.x_DI, interior_state.x_UI)]
 
     def test_four_intervals_hold_where_recovery_totals_meet(self):
         # equal rates on both sides give alpha = beta and equal recovery, so
@@ -539,10 +558,6 @@ class TestCaseInterval:
                 # the bytes tell a zero's sign and an infinity's
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (params, x, case)
         assert zero_denominators > 500 and at_end > 1000
-
-    def test_rejects_an_unknown_case(self, base_params):
-        with pytest.raises(ValueError, match="unknown case"):
-            hjb.interval_rule(base_params, "i")
 
     def test_zero_denominator_gives_exact_intervals(self):
         # no recovery and no pressure on a defended susceptible: P = 0 at DS,
