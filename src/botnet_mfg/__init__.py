@@ -32,7 +32,6 @@ from .fixedpoint import (
     FixedPoint,
     fixed_point_acyclic,
     fixed_point_mixed,
-    fixed_point_mixed_asymptotic,
     stability,
 )
 from .equilibrium import (
@@ -47,7 +46,7 @@ from .equilibrium import (
 )
 
 # the simulator's names import agentsim, and numpy with it, on first access (PEP 562)
-_AGENTSIM_NAMES = ("AgentCounts", "DeviationStats", "SimConfig", "Trajectory",
+_AGENTSIM_NAMES = ("DeviationStats", "SimConfig", "Trajectory",
                    "compare_ode", "simulate", "simulate_myopic")
 
 
@@ -60,14 +59,14 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentCounts", "AssumptionViolation", "BifurcationReport", "CONFIG_KEYS",
+    "AssumptionViolation", "BifurcationReport", "CONFIG_KEYS",
     "ControlVector", "DegenerateDenominator", "DeviationStats", "Domain",
     "EffectiveRates", "Equilibrium", "FixedPoint",
     "HjbSolution", "InvalidSimplex", "ModelParams", "SimConfig",
     "SingularSystem", "StateDist", "StepTooLarge", "StrategyCase", "SweepRow",
     "TooManySolutions", "Trajectory", "alpha_beta",
     "case_interval", "classify_domain", "compare_ode", "enumerate_hjb",
-    "fixed_point_acyclic", "fixed_point_mixed", "fixed_point_mixed_asymptotic",
+    "fixed_point_acyclic", "fixed_point_mixed",
     "integrate", "kappa_of", "kappa_thresholds", "kinetic_jacobian",
     "kinetic_rhs", "oracle_enumerate", "simulate",
     "simulate_myopic", "solve_case", "solve_mfg", "stability", "sweep_kappa",

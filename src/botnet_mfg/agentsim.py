@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -85,49 +85,20 @@ def _check_n_agents(n_agents: int) -> None:
         raise ValueError(f"n_agents must be an integer in [1, 2**53], got {n_agents!r}")
 
 
-@dataclass(frozen=True)
-class AgentCounts:
-    """Agent head-counts per state."""
-
-    n_DI: int
-    n_DS: int
-    n_UI: int
-    n_US: int
-
-    def __post_init__(self) -> None:
-        for name in ("n_DI", "n_DS", "n_UI", "n_US"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.total < 1:
-            raise ValueError("need at least one agent")
-
-    @property
-    def total(self) -> int:
-        return self.n_DI + self.n_DS + self.n_UI + self.n_US
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n_DI, self.n_DS, self.n_UI, self.n_US)
-
-    def to_dist(self) -> StateDist:
-        n = self.total
-        return StateDist(self.n_DI / n, self.n_DS / n, self.n_UI / n, self.n_US / n)
-
-    @classmethod
-    def from_dist(cls, n_agents: int, x: StateDist) -> "AgentCounts":
-        """Round a distribution to integer counts summing to n_agents
-        (largest remainders win the leftover agents)."""
-        _check_n_agents(n_agents)
-        targets = [n_agents * c for c in x.as_tuple()]
-        base = [math.floor(t) for t in targets]
-        leftover = n_agents - sum(base)
-        order = sorted(range(4), key=lambda i: (base[i] - targets[i], i))
-        for i in range(leftover):
-            base[order[i]] += 1
-        # near 2**53 n*c can round up: take any excess from the smallest remainders
-        for i in [i for i in reversed(order) if base[i]][:max(-leftover, 0)]:
-            base[i] -= 1
-        return cls(*base)
+def initial_counts(n_agents: int, x: StateDist) -> list[float]:
+    """Round a distribution to head-counts (n_DI, n_DS, n_UI, n_US), as
+    floats, summing to n_agents (largest remainders win the leftover agents)."""
+    _check_n_agents(n_agents)
+    targets = [n_agents * c for c in x.as_tuple()]
+    base = [math.floor(t) for t in targets]
+    leftover = n_agents - sum(base)
+    order = sorted(range(4), key=lambda i: (base[i] - targets[i], i))
+    for i in range(leftover):
+        base[order[i]] += 1
+    # near 2**53 n*c can round up: take any excess from the smallest remainders
+    for i in [i for i in reversed(order) if base[i]][:max(-leftover, 0)]:
+        base[i] -= 1
+    return [float(c) for c in base]
 
 
 @dataclass(frozen=True)
@@ -139,11 +110,13 @@ class SimConfig:
     seed: int
     policy: ControlVector | str          # a fixed control, or "myopic"
     sample_interval: float
-    initial: StateDist | AgentCounts
+    initial: StateDist
     myopic_recompute: str = "interval"   # "interval" | "event"
 
     def __post_init__(self) -> None:
         _check_n_agents(self.n_agents)
+        if not isinstance(self.initial, StateDist):
+            raise ValueError(f"initial must be a StateDist, got {self.initial!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("horizon", "sample_interval"):
@@ -158,13 +131,6 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.myopic_recompute not in ("interval", "event"):
             raise ValueError("myopic_recompute must be 'interval' or 'event'")
-
-    def initial_counts(self) -> AgentCounts:
-        if isinstance(self.initial, AgentCounts):
-            if self.initial.total != self.n_agents:
-                raise ValueError("initial counts do not sum to n_agents")
-            return self.initial
-        return AgentCounts.from_dist(self.n_agents, self.initial)
 
 
 @dataclass(frozen=True)
@@ -220,18 +186,18 @@ def rate_table(params: ModelParams, n_agents: int,
     return sums
 
 
-def generator_drift(params: ModelParams, counts: AgentCounts,
+def generator_drift(params: ModelParams, counts: Sequence[float],
                     u: ControlVector) -> tuple[float, float, float, float]:
-    """(1/N) * sum over channels of rate * jump direction.
+    """(1/N) * sum over channels of rate * jump direction, N = sum(counts).
 
     Each rate is a step a_k - a_{k-1} of ``rate_table``'s running sums,
     the rates the simulator samples from.  Algebraically identical to
     kinetic_rhs at x = n/N.
     """
-    n = counts.total
+    n = sum(counts)
     drift = [0.0, 0.0, 0.0, 0.0]
     prev = 0.0
-    for a, (src, dst) in zip(rate_table(params, n, u)(*counts.as_tuple()), EVENT_MOVES):
+    for a, (src, dst) in zip(rate_table(params, n, u)(*counts), EVENT_MOVES):
         drift[src] -= a - prev
         drift[dst] += a - prev
         prev = a
@@ -255,7 +221,7 @@ def _resolve_control(params: ModelParams, counts: list[float], n: int,
 
 def _run(params: ModelParams, cfg: SimConfig, myopic: bool) -> Trajectory:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    counts4 = [float(c) for c in cfg.initial_counts().as_tuple()]
+    counts4 = initial_counts(cfg.n_agents, cfg.initial)
     n = cfg.n_agents
 
     notes: list[str] = []

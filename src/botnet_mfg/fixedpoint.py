@@ -7,18 +7,19 @@ Acyclic cases collapse to a scalar endemic-equilibrium quadratic
                                            b = within-group contact rate,
 
 whose unique root in (0, 1) gives the infected fraction.  The mixed cases
-reduce to a quartic in x_DI whose roots on [0, 1] are isolated in floats:
-the critical points, found recursively, cut [0, 1] into monotone pieces,
-each bisected and Newton-polished; for large lam they collapse back to a
-quadratic of the same shape.  The count can be wrong where a knot value is
-zero to within ROOT_ZERO_TOL, as for two roots about 1e-7 apart.  Case iv
-is the mirror image of case iii under the relabeling that swaps the
-defended and unprotected sides: it reuses the case-iii states of the
-relabeled problem, swapped back.  A spectrum is computed only for a
-point that is returned: in closed form at an acyclic point, and at a
-mixed point as the roots of the reduced Jacobian's characteristic cubic.
-Everything is computed in Python floats, so the output does not depend
-on a linear-algebra library or on the CPU.
+reduce to a quartic in x_DI whose roots on [0, 1] are isolated in floats
+(for large lam they collapse back to a quadratic of the same shape): the
+critical points, found recursively, cut [0, 1] into monotone pieces, each
+bisected and Newton-polished; a knot whose value is zero to within
+ROOT_ZERO_TOL is a root, Newton-polished between its neighbouring knots
+unless its value is 0.0.  The count can be wrong there, as for two roots
+about 1e-7 apart.  Case iv is the mirror image of case iii under the
+relabeling that swaps the defended and unprotected sides: it reuses the
+case-iii states of the relabeled problem, swapped back.  A spectrum is
+computed only for a point that is returned: in closed form at an acyclic
+point, and at a mixed point as the roots of the reduced Jacobian's
+characteristic cubic.  Everything is computed in Python floats, so the
+output does not depend on a linear-algebra library or on the CPU.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class FixedPoint:
     case: StrategyCase
     eigenvalues: tuple[complex, complex, complex]
     stable: bool
-    method: str                # closed_form | quartic_numeric | large_lambda
+    method: str                # closed_form (cases i, ii) | quartic_numeric (iii, iv)
 
     def to_record(self) -> dict:
         eigs = (v for z in self.eigenvalues for v in (z.real, z.imag))
@@ -179,7 +180,8 @@ def bracket_roots(coeffs: Sequence[float]) -> list[float]:
     whose end values change sign holds exactly one root, found by
     bisection with Newton polishing; a piece end whose value is zero to
     rounding is itself a root, so double roots at critical points are
-    kept.  A constant polynomial has no roots.
+    kept, polished by the same Newton steps within its neighbouring knots
+    unless its value is 0.0.  A constant polynomial has no roots.
     """
     return _unit_roots(tuple(float(c) for c in coeffs))
 
@@ -196,7 +198,8 @@ def _unit_roots(cs: tuple[float, ...]) -> list[float]:
     roots: list[float] = []
     for i, (y, f) in enumerate(zip(knots, vals)):
         if abs(f) <= zero:
-            roots.append(y)
+            roots.append(y if f == 0.0 else _newton(
+                cs, dcs, y, knots[max(i - 1, 0)], knots[min(i + 1, len(knots) - 1)]))
         elif i + 1 < len(knots) and abs(vals[i + 1]) > zero and f * vals[i + 1] < 0.0:
             roots.append(_bisect(cs, dcs, y, knots[i + 1], f))
     return roots
@@ -220,16 +223,20 @@ def _bisect(cs: tuple[float, ...], dcs: tuple[float, ...],
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    root = 0.5 * (lo + hi)
-    # a few Newton polishing steps; the switching-rate scale makes the
-    # residual budget tight for large lam
+    return _newton(cs, dcs, 0.5 * (lo + hi), lo - BISECT_TOL, hi + BISECT_TOL)
+
+
+def _newton(cs: tuple[float, ...], dcs: tuple[float, ...],
+            root: float, lo: float, hi: float) -> float:
+    """A few Newton polishing steps from root, stopping at a zero slope or
+    before a step that leaves [lo, hi]; the switching-rate scale makes the
+    residual budget tight for large lam."""
     for _ in range(3):
-        f = _horner(cs, root)
         df = _horner(dcs, root)
         if df == 0.0:
             break
-        candidate = root - f / df
-        if not (lo - BISECT_TOL <= candidate <= hi + BISECT_TOL):
+        candidate = root - _horner(cs, root) / df
+        if not lo <= candidate <= hi:
             break
         root = candidate
     return root
@@ -267,13 +274,6 @@ def _case_iii_states(params: ModelParams) -> list[StateDist]:
         if _residual(params, x, control) <= RESIDUAL_REL_TOL * params.max_rate():
             states.append(x)
     return states
-
-
-def fixed_point_mixed_asymptotic(params: ModelParams, case: StrategyCase) -> FixedPoint:
-    """Large-lam limit of a mixed-case (iii or iv) stationary point."""
-    if case not in (StrategyCase.DEFEND_SUSCEPTIBLE, StrategyCase.DEFEND_INFECTED):
-        raise ValueError(f"{case} is not a mixed case")
-    return _point(params, endemic_state(params, case), case, "large_lambda")
 
 
 # coordinate eliminated by the simplex constraint when reducing to 3 variables

@@ -235,12 +235,12 @@ def check_generator_identity(seed: int, trials: int) -> CheckResult:
     for _ in range(trials):
         params = random_params(rng)
         u = random_control(rng)
-        raw = [int(v) for v in rng.integers(0, 500, size=4)]
-        if sum(raw) == 0:
-            raw[0] = 1
-        counts = agentsim.AgentCounts(*raw)
+        counts = [float(v) for v in rng.integers(0, 500, size=4)]
+        if sum(counts) == 0.0:
+            counts[0] = 1.0
+        n = sum(counts)
         drift = agentsim.generator_drift(params, counts, u)
-        rhs = kinetic_rhs(params, counts.to_dist(), u)
+        rhs = kinetic_rhs(params, StateDist(*(c / n for c in counts)), u)
         scale = max(1.0, max(abs(v) for v in rhs))
         if max(abs(a - b) for a, b in zip(drift, rhs)) > 1e-12 * scale:
             failed += 1

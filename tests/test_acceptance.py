@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from botnet_mfg import (
-    AgentCounts,
     ModelParams,
     StateDist,
     StrategyCase,
@@ -26,9 +25,9 @@ from botnet_mfg import (
 from botnet_mfg.agentsim import SimConfig, generator_drift, replica_trajectories
 from botnet_mfg.cli import main as cli_main
 from botnet_mfg.fixedpoint import (
+    endemic_state,
     fixed_point_acyclic,
     fixed_point_mixed,
-    fixed_point_mixed_asymptotic,
     fixed_point_residual,
 )
 from botnet_mfg.hjb import DEGENERATE_SLACK, bellman_residual, control_attains_min
@@ -162,11 +161,11 @@ def test_criterion_5_large_lambda_convergence_rate():
             dists = []
             for _ in range(20):
                 params = random_params(rng, lam=lam, hi=2.0)
-                asym = fixed_point_mixed_asymptotic(params, case)
+                asym = endemic_state(params, case)
                 pts = fixed_point_mixed(params, case)
                 assert pts
                 dists.append(min(
-                    float(np.max(np.abs(np.array(fp.x.as_tuple()) - np.array(asym.x.as_tuple()))))
+                    float(np.max(np.abs(np.array(fp.x.as_tuple()) - np.array(asym.as_tuple()))))
                     for fp in pts))
             means.append(np.mean(dists))
         slope = float(np.polyfit(np.log(lams), np.log(means), 1)[0])
@@ -299,17 +298,17 @@ def test_criterion_9_byte_determinism(tmp_path, capsys):
 
 def test_criterion_10_generator_identity():
     """Event rates scaled by 1/N reproduce the kinetic right-hand side at
-    x = n/N to 1e-12 on 10^4 random integer count vectors."""
+    x = n/N to 1e-12 on 10^4 random integer-valued float count vectors."""
     rng = np.random.default_rng(1010)
     for _ in range(10_000):
         params = random_params(rng)
         u = random_control(rng)
-        raw = [int(v) for v in rng.integers(0, 1000, size=4)]
-        if sum(raw) == 0:
-            raw[2] = 1
-        counts = AgentCounts(*raw)
+        counts = [float(v) for v in rng.integers(0, 1000, size=4)]
+        if sum(counts) == 0.0:
+            counts[2] = 1.0
+        n = sum(counts)
         drift = generator_drift(params, counts, u)
-        rhs = kinetic_rhs(params, counts.to_dist(), u)
+        rhs = kinetic_rhs(params, StateDist(*(c / n for c in counts)), u)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert float(np.max(np.abs(np.subtract(drift, rhs)))) <= 1e-12 * scale
     _report(10, "generator identity on 10^4 count vectors")

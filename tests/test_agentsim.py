@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from botnet_mfg import (
-    AgentCounts,
     ControlVector,
     ModelParams,
     SimConfig,
@@ -29,6 +28,7 @@ from botnet_mfg.agentsim import (
     _dist_of,
     _resolve_control,
     generator_drift,
+    initial_counts,
     rate_table,
     replica_trajectories,
 )
@@ -50,48 +50,52 @@ def sim_params(lam=5.0):
 
 
 class TestAgentCounts:
-    def test_total_and_validation(self):
-        counts = AgentCounts(1, 2, 3, 4)
-        assert counts.total == 10
-        with pytest.raises(ValueError):
-            AgentCounts(-1, 1, 0, 0)
-        with pytest.raises(ValueError):
-            AgentCounts(0, 0, 0, 0)
+    """Head-counts rounded from a distribution: ``initial_counts``, the one
+    rounding, which every run starts from."""
 
     def test_rounding_preserves_total(self, rng):
         for _ in range(300):
             n = int(rng.integers(1, 5000))
             x = StateDist.from_sequence(rng.dirichlet(np.ones(4)))
-            counts = AgentCounts.from_dist(n, x)
-            assert counts.total == n
+            counts = initial_counts(n, x)
+            assert sum(counts) == n and all(type(c) is float for c in counts)
 
     def test_rounding_preserves_total_near_two_to_the_53(self):
         # the products n*c round up here and the floors sum to n + 1
         n = 7444312577870816
         x = StateDist(0.2373721850385354, 0.6021620526884818,
                       0.027603021929907046, 0.13286274034307588)
-        assert AgentCounts.from_dist(n, x).total == n
+        assert sum(int(c) for c in initial_counts(n, x)) == n
         rng = np.random.default_rng(0)
         for _ in range(5000):
             n = int(rng.integers(2 ** 50, 2 ** 53, endpoint=True))
             x = StateDist.from_sequence(rng.dirichlet(np.ones(4)))
-            counts = AgentCounts.from_dist(n, x)
-            assert counts.total == n, (n, x)
-            for count, c in zip(counts.as_tuple(), x.as_tuple()):
+            counts = initial_counts(n, x)
+            assert sum(int(c) for c in counts) == n, (n, x)
+            for count, c in zip(counts, x.as_tuple()):
                 assert abs(count - n * c) <= 1.0, (n, x)
         # the excess is never taken from an empty state
         x = StateDist(0.37410972163903494, 0.2958400775849636, 0.33005020077600156, 0.0)
-        counts = AgentCounts.from_dist(8268214169269468, x)
-        assert counts.total == 8268214169269468 and counts.n_US == 0
+        counts = initial_counts(8268214169269468, x)
+        assert sum(int(c) for c in counts) == 8268214169269468 and counts[3] == 0.0
 
     @pytest.mark.parametrize("n_agents", [0, 10 ** 17, 10 ** 20])
     def test_rounding_rejects_population_outside_exact_float_counts(self, n_agents):
         with pytest.raises(ValueError, match="n_agents"):
-            AgentCounts.from_dist(n_agents, StateDist(0.0, 0.0, 0.3, 0.7))
+            initial_counts(n_agents, StateDist(0.0, 0.0, 0.3, 0.7))
 
     def test_exact_fractions_round_exactly(self):
-        counts = AgentCounts.from_dist(10, StateDist(0.1, 0.2, 0.3, 0.4))
-        assert counts.as_tuple() == (1, 2, 3, 4)
+        assert initial_counts(10, StateDist(0.1, 0.2, 0.3, 0.4)) == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("n_agents", [1, 3, 2500])
+    @pytest.mark.parametrize("policy", [U_I, "myopic"], ids=["fixed", "myopic"])
+    def test_first_sample_row_is_the_rounded_counts(self, n_agents, policy):
+        x = StateDist(0.3, 0.3, 0.2, 0.2)
+        cfg = SimConfig(n_agents=n_agents, horizon=1.0, seed=3, policy=policy,
+                        sample_interval=0.5, initial=x)
+        run = simulate if policy == U_I else simulate_myopic
+        row = run(sim_params(), cfg).states[0] * n_agents
+        assert row.tolist() == initial_counts(n_agents, x)
 
 
 def _reference_rates(params, n, u, counts):
@@ -207,7 +211,7 @@ class TestEventRates:
         # else DI -> UI (channel 8); recovery (channels 2, 3) never fires
         monkeypatch.setattr(agentsim, "_UNIT", 1.0)
         cfg = SimConfig(n_agents=3, horizon=2.0, seed=5, policy=ControlVector(1, 1, 1, 1),
-                        sample_interval=0.1, initial=AgentCounts(0, 0, 3, 0))
+                        sample_interval=0.1, initial=StateDist(0.0, 0.0, 1.0, 0.0))
         counts = simulate(sim_params(), cfg).states * 3
         assert np.all(counts >= 0.0)
         assert not counts[:, [1, 3]].any()
@@ -230,13 +234,13 @@ class TestEventRates:
     def test_generator_identity(self, rng):
         for _ in range(2000):
             params = random_params(rng)
-            raw = [int(v) for v in rng.integers(0, 500, size=4)]
-            if sum(raw) == 0:
-                raw[0] = 1
-            counts = AgentCounts(*raw)
+            counts = [float(v) for v in rng.integers(0, 500, size=4)]
+            if sum(counts) == 0.0:
+                counts[0] = 1.0
+            n = sum(counts)
             u = random_control(rng)
             drift = generator_drift(params, counts, u)
-            rhs = kinetic_rhs(params, counts.to_dist(), u)
+            rhs = kinetic_rhs(params, StateDist(*(c / n for c in counts)), u)
             scale = max(1.0, float(np.max(np.abs(rhs))))
             assert float(np.max(np.abs(np.subtract(drift, rhs)))) <= 1e-12 * scale
 
@@ -245,7 +249,7 @@ class TestSimulate:
     def test_single_frozen_agent(self):
         params = replace(sim_params(), v_H=0.0)
         cfg = SimConfig(n_agents=1, horizon=5.0, seed=1, policy=U_OFF,
-                        sample_interval=1.0, initial=AgentCounts(0, 0, 0, 1))
+                        sample_interval=1.0, initial=StateDist(0.0, 0.0, 0.0, 1.0))
         traj = simulate(params, cfg)
         assert len(traj.times) == 6
         assert np.array_equal(traj.states, np.tile([0.0, 0.0, 0.0, 1.0], (6, 1)))
@@ -280,11 +284,18 @@ class TestSimulate:
         samples = traj.states[burn:, 2]
         assert abs(samples.mean() - fp.x.x_UI) <= 3.0 * samples.std()
 
-    @pytest.mark.parametrize("n_agents", [0, -3, 2 ** 53 + 1, 10 ** 20, 2.5, 100.0])
+    @pytest.mark.parametrize("n_agents", [0, -3, 2 ** 53 + 1, 10 ** 17, 10 ** 20, 2.5, 100.0])
     def test_rejects_population_outside_exact_float_counts(self, n_agents):
         with pytest.raises(ValueError, match="n_agents"):
             SimConfig(n_agents=n_agents, horizon=1.0, seed=0, policy=U_I,
                       sample_interval=0.5, initial=StateDist(0.0, 0.0, 0.3, 0.7))
+
+    @pytest.mark.parametrize("initial", [(0, 0, 3, 0), [0.0, 0.0, 0.3, 0.7], None],
+                             ids=["counts", "list", "none"])
+    def test_rejects_an_initial_that_is_not_a_state_dist(self, initial):
+        with pytest.raises(ValueError, match="initial"):
+            SimConfig(n_agents=3, horizon=1.0, seed=0, policy=U_I,
+                      sample_interval=0.5, initial=initial)
 
     @pytest.mark.parametrize("horizon, sample_interval", [
         (1.0, 1e-300), (1.0, math.nextafter(1e-6, 0.0)), (1e300, 1.0), (1e308, 1e-10)])
@@ -324,7 +335,7 @@ class TestCompareOde:
     def test_no_events_means_zero_deviation(self):
         params = replace(sim_params(), v_H=0.0)
         cfg = SimConfig(n_agents=50, horizon=3.0, seed=2, policy=U_OFF,
-                        sample_interval=0.5, initial=AgentCounts(0, 0, 0, 50))
+                        sample_interval=0.5, initial=StateDist(0.0, 0.0, 0.0, 1.0))
         stats = compare_ode(params, simulate(params, cfg), U_OFF)
         assert stats.mean == 0.0
 
@@ -428,7 +439,7 @@ class TestMyopic:
     def test_single_agent_deterministic_switch_log(self):
         params = sim_params(lam=2.0)
         cfg = SimConfig(n_agents=1, horizon=10.0, seed=4, policy="myopic",
-                        sample_interval=0.5, initial=AgentCounts(0, 0, 1, 0),
+                        sample_interval=0.5, initial=StateDist(0.0, 0.0, 1.0, 0.0),
                         myopic_recompute="event")
         t1 = simulate_myopic(params, cfg)
         t2 = simulate_myopic(params, cfg)

@@ -10,7 +10,7 @@ import pytest
 import botnet_mfg
 from botnet_mfg import agentsim
 from botnet_mfg.cli import main
-from botnet_mfg.fixedpoint import fixed_point_mixed_asymptotic
+from botnet_mfg.fixedpoint import endemic_state, stability
 from botnet_mfg.model import ModelParams, StrategyCase, parse_config
 
 CONFIG = """\
@@ -553,8 +553,9 @@ class TestFloatRange:
         # characteristic polynomial is scaled first
         params = ModelParams(**parse_config(CONFIG.splitlines(),
                                             ["q_rec_U=5e-324", "v_H=1e150"]))
-        fp = fixed_point_mixed_asymptotic(params, StrategyCase.DEFEND_SUSCEPTIBLE)
-        values = [v for z in fp.eigenvalues for v in (z.real, z.imag)]
+        case = StrategyCase.DEFEND_SUSCEPTIBLE
+        eigenvalues, _ = stability(params, endemic_state(params, case), case)
+        values = [v for z in eigenvalues for v in (z.real, z.imag)]
         assert all(math.isfinite(v) for v in values)
 
     def test_sweep_reports_an_overflowing_k_D(self, config_path, capsys):

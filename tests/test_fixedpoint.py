@@ -13,7 +13,6 @@ from botnet_mfg import (
     StrategyCase,
     fixed_point_acyclic,
     fixed_point_mixed,
-    fixed_point_mixed_asymptotic,
     kinetic_jacobian,
     kinetic_rhs,
     fixedpoint,
@@ -93,9 +92,6 @@ class TestEndemicState:
             for case in (CASE_I, CASE_II):
                 fp = fixed_point_acyclic(params, case)
                 assert fp.x == endemic_state(params, case) and fp.method == "closed_form"
-            for case in (CASE_III, CASE_IV):
-                fp = fixed_point_mixed_asymptotic(params, case)
-                assert fp.x == endemic_state(params, case) and fp.method == "large_lambda"
 
     @pytest.mark.parametrize("case", list(StrategyCase), ids=lambda c: c.label)
     def test_does_not_depend_on_lambda(self, case):
@@ -111,9 +107,6 @@ class TestEndemicState:
         for case in (CASE_III, CASE_IV, "i"):
             with pytest.raises(ValueError, match="not an acyclic case"):
                 fixed_point_acyclic(_mk(), case)
-        for case in (CASE_I, CASE_II, "iii"):
-            with pytest.raises(ValueError, match="not a mixed case"):
-                fixed_point_mixed_asymptotic(_mk(), case)
 
 
 class TestLargeRecovery:
@@ -129,9 +122,10 @@ class TestLargeRecovery:
         for case in (CASE_III, CASE_IV):
             # as lam -> inf the toggled states empty at once, so the limit
             # point's residual is the drift of the infected mass
-            fp = fixed_point_mixed_asymptotic(params, case)
-            d_DI, _, d_UI, _ = kinetic_rhs(params, fp.x, case.control)
+            x = endemic_state(params, case)
+            d_DI, _, d_UI, _ = kinetic_rhs(params, x, case.control)
             assert abs(d_DI + d_UI) <= 1e-9, case
+            assert all(abs(z) < math.inf for z in stability(params, x, case)[0]), case
 
 
 class TestAcyclic:
@@ -237,8 +231,8 @@ class TestMixed:
     def test_small_mass_scaling_at_large_lambda(self):
         params = _mk(lam=1000.0, q_rec_D=1.3, q_rec_U=0.9, q_inf_D=0.4)
         fp = fixed_point_mixed(params, CASE_III)[0]
-        asym = fixed_point_mixed_asymptotic(params, CASE_III)
-        assert abs(fp.x.x_UI - asym.x.x_UI) <= 5.0 / params.lam
+        asym = endemic_state(params, CASE_III)
+        assert abs(fp.x.x_UI - asym.x_UI) <= 5.0 / params.lam
         # the defended-infected sliver scales like x_UI * q_rec_U / lam
         assert fp.x.x_DI == pytest.approx(
             fp.x.x_UI * params.q_rec_U / params.lam, rel=20.0 / params.lam)
@@ -255,6 +249,21 @@ class TestMixed:
         assert x.as_tuple() == (0.0, 1.0, 0.0, 0.0)
         assert max(abs(v) for v in kinetic_rhs(params, x, CASE_III.control)) == 0.5
         assert fixed_point_mixed(params, CASE_III) == []
+
+    def test_root_next_to_a_knot_is_polished_not_snapped(self):
+        # README rates with tiny direct-defended rates: the quartic's value
+        # at the knot 0 is 1e-9, zero to rounding but not 0.0; the knot is
+        # Newton-polished onto the root near 3.17e-13 instead of being kept
+        # as 0.0, whose state (0, 1, 0, 0) the residual filter would drop
+        params = _mk(lam=6316.0, q_rec_D=1e-9, q_inf_D=1e-9, beta_UU=9.58, beta_UD=0.5,
+                     beta_DU=4.0, beta_DD=0.5, k_D=0.7)
+        coeffs = mixed_quartic_coeffs(params)
+        roots = bracket_roots(coeffs)
+        assert len(roots) == 1 and roots[0] == pytest.approx(3.1676e-13, rel=1e-4)
+        assert abs(fixedpoint._horner(coeffs, roots[0])) < abs(coeffs[0])
+        (fp,) = fixed_point_mixed(params, CASE_III)
+        assert fp.x.x_DI == roots[0] and fp.stable
+        assert fixed_point_residual(params, fp) <= 1e-24
 
 
 class TestPole:
@@ -326,9 +335,9 @@ class TestBracketRoots:
 class TestAsymptotic:
     def test_golden_ratio(self):
         params = _mk(beta_UD=1.0, q_rec_U=1.0, q_inf_D=1.0)
-        fp = fixed_point_mixed_asymptotic(params, CASE_III)
-        assert fp.x.x_UI == pytest.approx(GOLDEN, abs=1e-12)
-        assert fp.x.as_tuple()[0] == 0.0 and fp.x.as_tuple()[3] == 0.0
+        x = endemic_state(params, CASE_III)
+        assert x.x_UI == pytest.approx(GOLDEN, abs=1e-12)
+        assert x.as_tuple()[0] == 0.0 and x.as_tuple()[3] == 0.0
 
     def test_matches_case_ii_root_under_simplifying_assumptions(self, rng):
         # with target-only contact rates and equal recovery, the asymptotic
@@ -341,9 +350,9 @@ class TestAsymptotic:
                 q_rec_D=q, q_rec_U=q, q_inf_D=inf_D, q_inf_U=inf_U,
                 beta_UU=b_U, beta_UD=b_D, beta_DU=b_U, beta_DD=b_D,
                 lam=50.0, v_H=1.0, k_D=0.5, k_I=1.0)
-            fp_iii = fixed_point_mixed_asymptotic(params, CASE_III)
+            x_iii = endemic_state(params, CASE_III)
             fp_ii = fixed_point_acyclic(params, CASE_II)
-            assert fp_iii.x.x_UI == pytest.approx(fp_ii.x.x_DI, abs=1e-12)
+            assert x_iii.x_UI == pytest.approx(fp_ii.x.x_DI, abs=1e-12)
 
     def test_convergence_rate_in_lambda(self, rng):
         # the quartic point approaches the asymptotic one like 1/lam
@@ -355,11 +364,11 @@ class TestAsymptotic:
                 sub = np.random.default_rng(99)
                 for _ in range(20):
                     params = random_params(sub, lam=lam, hi=2.0)
-                    asym = fixed_point_mixed_asymptotic(params, case)
+                    asym = endemic_state(params, case)
                     pts = fixed_point_mixed(params, case)
                     assert pts
                     dist = min(
-                        float(np.max(np.abs(np.array(fp.x.as_tuple()) - np.array(asym.x.as_tuple()))))
+                        float(np.max(np.abs(np.array(fp.x.as_tuple()) - np.array(asym.as_tuple()))))
                         for fp in pts)
                     draws.append(dist)
                 gaps.append(np.mean(draws))
